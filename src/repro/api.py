@@ -8,9 +8,14 @@
   signature against a security spec (default: the Mozilla-flavored one).
 
 :func:`vet` runs all three and returns a :class:`VettingReport`, which is
-what the CLI and the evaluation harness consume. :func:`diff_vet` is the
-*update*-shaped entry: given an approved old version and a new version,
-it tries the incremental fast lane (change-surface certificate, see
+what the CLI and the evaluation harness consume. It is the only vetting
+pipeline: it runs over a :class:`ProgramSet` that a :class:`FrontEnd`
+reads from the source text — a single JS file is a one-program set, an
+extension bundle (:mod:`repro.webext.pipeline`) one program per
+component file — and :func:`select_front_end` is the one place that
+tells the two apart. :func:`diff_vet` is the *update*-shaped entry:
+given an approved old version and a new version, it tries the
+incremental fast lane (change-surface certificate, see
 :mod:`repro.diffvet.incremental`) and otherwise re-analyzes and
 classifies the signature change (:mod:`repro.diffvet.diff`).
 """
@@ -18,13 +23,17 @@ classifies the signature change (:mod:`repro.diffvet.diff`).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.analysis import AnalysisResult, analyze
+from repro.analysis.environment import Environment
 from repro.browser import BrowserEnvironment, mozilla_spec
 from repro.faults import Budget, Degradation, FailureKind
 from repro.ir import ProgramIR, lower
+from repro.js import ast as js_ast
 from repro.js import node_count, parse, parse_with_recovery
+from repro.js.parser import SkippedStatement
 from repro.pdg import PDG, build_pdg
 from repro.perf import Counters, PhaseTimes
 from repro.signatures import (
@@ -76,11 +85,12 @@ class VettingReport:
     """Everything the vetter sees for one addon.
 
     When the relevance prefilter proved the addon trivially safe
-    (``prefiltered=True``), the heavyweight phases never ran:
-    ``result`` and ``pdg`` are ``None`` and the signature is empty.
+    (``prefiltered=True``), the heavyweight phases never ran and nothing
+    was lowered: ``program``, ``result`` and ``pdg`` are ``None`` and
+    the signature is empty.
     """
 
-    program: ProgramIR
+    program: ProgramIR | None
     result: AnalysisResult | None
     pdg: PDG | None
     detail: InferenceDetail
@@ -107,8 +117,8 @@ class VettingReport:
     #: when the prefilter ran.
     prefilter_decision: object | None = None
     #: The whole-program pre-analysis (``repro.preanalysis``): computed
-    #: property resolution, call graph, pruning decision. ``None`` when
-    #: disabled (``--no-preanalysis``).
+    #: property resolution, call graph, surface. ``None`` when disabled
+    #: (``--no-preanalysis``).
     preanalysis: object | None = None
 
     @property
@@ -140,13 +150,95 @@ class VettingReport:
             lines.append(f"timing: {self.phase_times.render()}")
         if self.unknown_calls:
             lines.append(f"unresolved callees at {len(self.unknown_calls)} call site(s)")
-        if self.result is not None:
+        if self.result is not None and self.program is not None:
             for tag, sid in sorted(self.result.diagnostics):
                 line = self.program.stmts[sid].line
                 lines.append(f"diagnostic: {tag} at line {line}")
         if self.comparison is not None:
             lines.append(self.comparison.render())
         return "\n".join(lines)
+
+
+@dataclass
+class ProgramSet:
+    """One vetting input, parsed: what :func:`vet` needs from a front end."""
+
+    #: The parsed programs, one per source file.
+    programs: tuple[js_ast.Program, ...]
+    #: Recovery-mode skips (empty unless ``recover``).
+    degradations: list[Degradation]
+    ast_nodes: int
+    #: Lowers the programs into the one program the interpreter runs.
+    lower: Callable[[], ProgramIR]
+    #: Builds the abstract environment the program runs in.
+    environment: Callable[[], Environment]
+    #: Adjusts the inferred detail before salvage widening, and may add
+    #: counters: ``(result, pdg, detail, counters) -> detail``.
+    post_inference: (
+        Callable[[AnalysisResult, PDG, InferenceDetail, Counters], InferenceDetail]
+        | None
+    ) = None
+    #: Counters every report of this input carries.
+    counters: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class FrontEnd:
+    """One kind of vetting input and how to read it."""
+
+    #: ``(source, recover) -> ProgramSet``.
+    read: Callable[[str, bool], ProgramSet]
+    #: The spec a vet uses when the caller names none.
+    default_spec: Callable[[], SecuritySpec]
+    #: Why the change-surface certificate cannot judge an update of
+    #: this kind (``None``: it can).
+    certificate_refusal: str | None = None
+
+
+def recovery_degradation(skip: SkippedStatement, where: str = "") -> Degradation:
+    """The degradation a recovery-mode skip records; ``where`` names
+    the file for multi-file inputs."""
+    return Degradation(
+        kind=(
+            FailureKind.UNSUPPORTED_SYNTAX
+            if skip.unsupported
+            else FailureKind.PARSE_ERROR
+        ),
+        detail=f"skipped top-level statement{where}: {skip.render()}",
+    )
+
+
+def _read_js_file(source: str, recover: bool) -> ProgramSet:
+    if recover:
+        syntax_tree, skipped = parse_with_recovery(source)
+        degradations = [recovery_degradation(skip) for skip in skipped]
+    else:
+        syntax_tree = parse(source)
+        degradations = []
+    return ProgramSet(
+        programs=(syntax_tree,),
+        degradations=degradations,
+        ast_nodes=node_count(syntax_tree),
+        lower=lambda: lower(syntax_tree, event_loop=True),
+        environment=BrowserEnvironment,
+    )
+
+
+#: A single JS file: the paper's addons.
+JS_FILE = FrontEnd(read=_read_js_file, default_spec=mozilla_spec)
+
+
+def select_front_end(*sources: str) -> FrontEnd:
+    """The front end that reads ``sources``: the extension-bundle one
+    when any of them is a serialized bundle (``repro.webext.loader``),
+    else :data:`JS_FILE`. An update passes both of its versions."""
+    from repro.webext.loader import is_bundle_text
+
+    if any(is_bundle_text(source) for source in sources):
+        from repro.webext.pipeline import BUNDLE
+
+        return BUNDLE
+    return JS_FILE
 
 
 def infer_signature(source: str, spec: SecuritySpec | None = None, k: int = 1) -> Signature:
@@ -169,6 +261,14 @@ def vet(
     signature (the Table 2 methodology). The report carries per-phase
     wall times and the hot-path counters of this run.
 
+    ``source`` is a single JS file or a serialized WebExtension bundle
+    (the ``repro.webext.loader`` text form that ``load_source`` gives an
+    extension directory). :func:`select_front_end` picks how to read
+    it; a bundle brings the chrome environment, the WebExt default spec
+    and the sender-guard downgrade. Carrying bundles as plain text keeps
+    every downstream consumer — batch runner, vetting service,
+    differential vetting — free of special cases.
+
     ``budget`` bounds the base analysis cooperatively (fixpoint steps,
     wall clock, abstract states); a tripped budget *degrades* the run —
     the report comes back ``degraded=True`` with its signature widened
@@ -180,77 +280,41 @@ def vet(
     (:func:`repro.lint.surface.decide_relevance`): an addon whose
     syntactic surface cannot reach the spec — no shared names, no
     dynamic code, no dynamic property access, no recovery skips — gets
-    the trivially-empty signature without running the interpreter. Any
-    disqualifier falls back to the full pipeline, so the result is
-    bit-identical either way (proven addon-by-addon in
+    the trivially-empty signature without lowering or running the
+    interpreter. Any disqualifier falls back to the full pipeline, so
+    the result is bit-identical either way (proven addon-by-addon in
     ``tests/lint/test_prefilter_soundness.py``).
 
     ``preanalysis`` (on by default; ``--no-preanalysis`` in the CLI)
     runs the flow-insensitive whole-program pre-analysis
     (:mod:`repro.preanalysis`) between parsing and lowering: computed
     property sites with provably-finite key sets stop disqualifying the
-    prefilter, unreferenced top-level functions are pruned before the
-    interpreter ever sees them (signature-preserving — proven
-    bit-identical in ``tests/preanalysis``), and the report gains the
-    ``resolved_sites`` / ``residual_dynamic_sites`` / ``pruned_nodes`` /
+    prefilter, the prefilter reuses its surface scan, and the report
+    gains the ``resolved_sites`` / ``residual_dynamic_sites`` /
     ``callgraph_edges`` counters.
-
-    ``source`` may also be a serialized WebExtension bundle (the
-    ``repro.webext.loader`` text form produced by ``load_source`` on an
-    extension directory): those route through the multi-file pipeline
-    with the chrome environment and, unless overridden, the WebExt spec.
-    Carrying bundles as plain text keeps every downstream consumer —
-    batch runner, vetting service, differential vetting — free of
-    special cases.
     """
     from repro.lint.surface import decide_relevance
-    from repro.webext.loader import is_bundle_text
 
-    if is_bundle_text(source):
-        from repro.webext.pipeline import vet_extension
-
-        return vet_extension(
-            source,
-            manual=manual,
-            real_extras=real_extras,
-            spec=spec,
-            k=k,
-            budget=budget,
-            recover=recover,
-            prefilter=prefilter,
-            preanalysis=preanalysis,
-        )
-
-    resolved_spec = spec if spec is not None else mozilla_spec()
-    degradations: list[Degradation] = []
+    front_end = select_front_end(source)
+    resolved_spec = spec if spec is not None else front_end.default_spec()
     start = time.perf_counter()
-    if recover:
-        syntax_tree, skipped = parse_with_recovery(source)
-        degradations.extend(
-            Degradation(
-                kind=(
-                    FailureKind.UNSUPPORTED_SYNTAX
-                    if skip.unsupported
-                    else FailureKind.PARSE_ERROR
-                ),
-                detail=f"skipped top-level statement: {skip.render()}",
-            )
-            for skip in skipped
-        )
-    else:
-        syntax_tree = parse(source)
+    program_set = front_end.read(source, recover)
+    degradations = list(program_set.degradations)
     pre = None
     if preanalysis:
         from repro.preanalysis import preanalyze
 
-        pre = preanalyze([syntax_tree], degraded=bool(degradations))
+        pre = preanalyze(program_set.programs, degraded=bool(degradations))
+    counters = Counters(program_set.counters)
+    if pre is not None:
+        counters.update(pre.counters)
     decision = None
     if prefilter:
         decision = decide_relevance(
-            syntax_tree,
+            program_set.programs,
             resolved_spec,
             degraded=bool(degradations),
-            resolution=pre.resolution if pre is not None else None,
+            surface=pre.surface if pre is not None else None,
         )
         if not decision.relevant:
             after_parse = time.perf_counter()
@@ -260,16 +324,13 @@ def vet(
             comparison = None
             if manual is not None:
                 comparison = compare(detail.signature, manual, real_extras)
-            counters = Counters()
             counters["prefiltered"] = 1
-            if pre is not None:
-                counters.update(pre.counters)
             return VettingReport(
-                program=lower(syntax_tree, event_loop=True),
+                program=None,
                 result=None,
                 pdg=None,
                 detail=detail,
-                ast_nodes=node_count(syntax_tree),
+                ast_nodes=program_set.ast_nodes,
                 comparison=comparison,
                 phase_times=PhaseTimes(
                     p1=after_parse - start, p2=0.0, p3=0.0
@@ -280,39 +341,35 @@ def vet(
                 prefilter_decision=decision,
                 preanalysis=pre,
             )
-    analysis_tree = syntax_tree
-    if pre is not None and pre.prune.pruned_nodes:
-        # Pruning is signature-preserving (tests/preanalysis proves
-        # bit-identity); the original tree still supplies ast_nodes so
-        # the size metric stays the addon's, not the pruned residue's.
-        analysis_tree = pre.programs[0]
-    program = lower(analysis_tree, event_loop=True)
-    result = analyze(program, BrowserEnvironment(), k=k, budget=budget, salvage=True)
+    program = program_set.lower()
+    result = analyze(
+        program, program_set.environment(), k=k, budget=budget, salvage=True
+    )
     degradations.extend(result.degradations)
     after_p1 = time.perf_counter()
     pdg = build_pdg(result)
     after_p2 = time.perf_counter()
     detail = infer_detail(result, pdg, resolved_spec)
+    if program_set.post_inference is not None:
+        detail = program_set.post_inference(result, pdg, detail, counters)
     if degradations:
         detail = widen_detail(detail, resolved_spec)
     after_p3 = time.perf_counter()
     comparison = None
     if manual is not None:
         comparison = compare(detail.signature, manual, real_extras)
-    counters = Counters(result.counters)
+    counters.update(result.counters)
     counters["pdg_edges"] = len(pdg.edges)
     counters["pdg_cyclic_statements"] = len(pdg.cyclic)
     counters["signature_entries"] = len(detail.signature.entries)
     if degradations:
         counters["degradations"] = len(degradations)
-    if pre is not None:
-        counters.update(pre.counters)
     return VettingReport(
         program=program,
         result=result,
         pdg=pdg,
         detail=detail,
-        ast_nodes=node_count(syntax_tree),
+        ast_nodes=program_set.ast_nodes,
         comparison=comparison,
         unknown_calls=result.unknown_callees,
         phase_times=PhaseTimes(
@@ -397,21 +454,15 @@ def diff_vet(
     from repro.diffvet.diff import diff_signatures
     from repro.diffvet.incremental import ChangeCertificate, certify_unchanged
     from repro.signatures.explain import explain_flow
-    from repro.webext.loader import is_bundle_text
 
-    if is_bundle_text(old_source) or is_bundle_text(new_source):
-        # Multi-file extension update: the change-surface certificate is
-        # defined over single JS files, so the fast lane is refused and
-        # both versions take the full (webext-routed) pipeline. The
-        # webext default spec applies when none was given.
-        from repro.browser.chrome import webext_spec
-
-        resolved_spec = spec if spec is not None else webext_spec()
+    front_end = select_front_end(old_source, new_source)
+    resolved_spec = spec if spec is not None else front_end.default_spec()
+    if front_end.certificate_refusal is not None:
+        # The fast lane is refused; both versions take the full pipeline.
         certificate = ChangeCertificate(
-            certified=False, reason="refused:webext-bundle"
+            certified=False, reason=front_end.certificate_refusal
         )
     else:
-        resolved_spec = spec if spec is not None else mozilla_spec()
         certificate = certify_unchanged(
             old_source, new_source, resolved_spec, recover=recover
         )

@@ -75,7 +75,10 @@ from repro.store import JsonStore
 #: decisions can change), dead top-level functions are pruned before
 #: lowering, and outcomes carry the pre-analysis counters; the switch
 #: joins the cache key.
-ENGINE_VERSION = 7
+#: v8: one vetting pipeline over a program set: dead-function pruning
+#: is gone (outcomes no longer carry ``pruned_nodes``), and bundle
+#: updates skip certification instead of attempting it.
+ENGINE_VERSION = 8
 
 #: The fast lane's cost gate: updates whose new version is smaller than
 #: this (source characters) skip the change-surface certificate and go
@@ -118,10 +121,9 @@ class VetTask:
     #: ``repro.lint.surface``). On by default in batch vetting.
     prefilter: bool = True
     #: Run the whole-program pre-analysis (computed-property resolution,
-    #: call graph, sound pruning) between parsing and lowering. On by
-    #: default; signatures are bit-identical either way (the resolution
-    #: only *demotes* dynamic-property refusals, and pruning is proven
-    #: signature-preserving — see ``repro.preanalysis``).
+    #: call graph) between parsing and lowering. On by default;
+    #: signatures are bit-identical either way (the resolution only
+    #: *demotes* dynamic-property refusals — see ``repro.preanalysis``).
     preanalysis: bool = True
     #: The approved previous version's source, for differential vetting.
     #: With both baseline fields set, the task is an *update*: the
@@ -397,7 +399,7 @@ def _task_budget(task: VetTask, timeout: float | None) -> Budget | None:
 
 
 def _fast_lane_outcome(
-    task: VetTask, spec: SecuritySpec | None, manual, extras
+    task: VetTask, spec: SecuritySpec, manual, extras
 ) -> VetOutcome | None:
     """Try the incremental fast lane for an update task. Returns the
     served outcome when the change-surface certificate holds, ``None``
@@ -408,7 +410,6 @@ def _fast_lane_outcome(
     and baselines come from clean (non-degraded) outcomes only — the
     :class:`~repro.diffvet.store.VersionStore` records nothing else.
     """
-    from repro.browser import mozilla_spec
     from repro.diffvet.incremental import certify_unchanged
     from repro.signatures import parse_signature
     from repro.signatures.compare import compare
@@ -416,9 +417,8 @@ def _fast_lane_outcome(
     assert task.baseline_source is not None
     assert task.baseline_signature_text is not None
     started = time.perf_counter()
-    resolved = spec if spec is not None else mozilla_spec()
     certificate = certify_unchanged(
-        task.baseline_source, task.source, resolved, recover=task.recover
+        task.baseline_source, task.source, spec, recover=task.recover
     )
     if not certificate.certified:
         return None
@@ -488,7 +488,7 @@ def _execute_task(
     tried first (unless ``task.incremental`` is off or the cost gate
     predicts full re-analysis is cheaper), and a full re-analysis is
     classified against the baseline into a diff verdict."""
-    from repro.api import vet
+    from repro.api import select_front_end, vet
     from repro.signatures import parse_signature
 
     try:
@@ -513,14 +513,21 @@ def _execute_task(
                 if task.fast_lane_min_chars is not None
                 else FAST_LANE_MIN_SOURCE_CHARS
             )
-            if len(task.source) >= gate:
+            front_end = select_front_end(task.baseline_source, task.source)
+            if len(task.source) >= gate and front_end.certificate_refusal is None:
                 certification = "attempted"
-                served = _fast_lane_outcome(task, spec, manual, extras)
+                served = _fast_lane_outcome(
+                    task,
+                    spec if spec is not None else front_end.default_spec(),
+                    manual,
+                    extras,
+                )
                 if served is not None:
                     return served
             else:
                 # Below the gate, the certificate's double parse costs
-                # more than the full pipeline — skip straight to it.
+                # more than the full pipeline, and a bundle update has
+                # no certificate — skip straight to the full pipeline.
                 certification = "skipped"
         budget = _task_budget(task, timeout)
         samples = []
@@ -1001,14 +1008,8 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         "residual_dynamic_sites": sum(
             o.counters.get("residual_dynamic_sites", 0) for o in outcomes
         ),
-        "pruned_nodes": sum(
-            o.counters.get("pruned_nodes", 0) for o in outcomes
-        ),
         "callgraph_edges": sum(
             o.counters.get("callgraph_edges", 0) for o in outcomes
-        ),
-        "pruned_addons": sum(
-            1 for o in outcomes if o.counters.get("pruned_nodes", 0)
         ),
     }
     return {
@@ -1022,7 +1023,7 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         # the change-surface certificate vs. skipped it on the cost gate.
         "certifications": certifications,
         # Pre-analysis aggregates: computed sites resolved vs. residual,
-        # nodes pruned before lowering, call-graph edge count.
+        # call-graph edge count.
         "preanalysis": preanalysis,
         "cached": sum(1 for o in outcomes if o.cached),
         "failures": dict(sorted(failures.items())),

@@ -42,10 +42,9 @@ import sys
 
 
 def _resolve_spec(name: str, source: str):
-    """``--spec`` resolution: ``auto`` picks the WebExt spec for bundle
-    text and the Mozilla spec for plain sources; ``None`` defers to the
-    pipeline default (same outcome, but keeps api.vet's own default
-    logic authoritative)."""
+    """``--spec`` resolution: ``auto`` takes the default spec of the
+    source's front end (WebExt for bundle text, Mozilla for plain
+    sources)."""
     if name == "mozilla":
         from repro.browser import mozilla_spec
 
@@ -54,7 +53,9 @@ def _resolve_spec(name: str, source: str):
         from repro.browser.chrome import webext_spec
 
         return webext_spec()
-    return None
+    from repro.api import select_front_end
+
+    return select_front_end(source).default_spec()
 
 
 def _load_source(path: str) -> str:
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     vet.add_argument(
         "--no-preanalysis", dest="preanalysis", action="store_false",
         help="skip the whole-program pre-analysis (computed-property "
-             "resolution, call graph, dead-function pruning); signatures "
+             "resolution, call graph); signatures "
              "are bit-identical either way",
     )
     vet.add_argument(

@@ -121,21 +121,17 @@ def _prefiltered_without_resolution(addon: GeneratedAddon) -> bool:
     """Would the prefilter skip this addon with *no* computed-property
     resolution? A cheap parse + surface scan (no interpreter, no
     pre-analysis) — the control for the ``resolution_gain`` number."""
-    from repro.browser import mozilla_spec
-    from repro.browser.chrome import webext_spec
-    from repro.js.parser import parse
-    from repro.lint.surface import decide_relevance, decide_relevance_many
-    from repro.webext.loader import bundle_from_text, is_bundle_text
-    from repro.webext.lowering import parse_extension
+    from repro.api import select_front_end
+    from repro.lint.surface import decide_relevance
 
     try:
-        if is_bundle_text(addon.source):
-            parsed = parse_extension(bundle_from_text(addon.source))
-            decision = decide_relevance_many(
-                parsed.parsed, webext_spec(), degraded=bool(parsed.skipped)
-            )
-        else:
-            decision = decide_relevance(parse(addon.source), mozilla_spec())
+        front_end = select_front_end(addon.source)
+        program_set = front_end.read(addon.source, False)
+        decision = decide_relevance(
+            program_set.programs,
+            front_end.default_spec(),
+            degraded=bool(program_set.degradations),
+        )
     except Exception:
         return False
     return not decision.relevant

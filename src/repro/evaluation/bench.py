@@ -109,10 +109,9 @@ def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
     Vets every ``*.js`` under ``examples_dir`` twice — pre-analysis on,
     pre-analysis off — with the prefilter enabled in both arms,
     in-process, uncached, ``recover=True``. Records the computed-site
-    resolution rate, the fraction of AST nodes pruned as unreachable,
-    the prefilter hit rate in each arm (the resolver's contribution is
-    the difference), both wall clocks, and whether the arms produced
-    bit-identical signatures (they must: resolution and pruning are
+    resolution rate, the prefilter hit rate in each arm (the resolver's
+    contribution is the difference), both wall clocks, and whether the
+    arms produced bit-identical signatures (they must: resolution is
     sound)."""
     from repro.batch import VetTask
 
@@ -126,7 +125,6 @@ def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
         return {
             "corpus": str(directory), "addons": 0, "resolved_sites": 0,
             "residual_dynamic_sites": 0, "resolution_rate": None,
-            "pruned_nodes": 0, "pruned_node_fraction": None,
             "callgraph_edges": 0, "hits_with_preanalysis": 0,
             "hit_rate_with_preanalysis": None, "hits_without_preanalysis": 0,
             "hit_rate_without_preanalysis": None, "wall_on_s": 0.0,
@@ -157,9 +155,7 @@ def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
     residual = sum(
         o.counters.get("residual_dynamic_sites", 0) for o in with_pre
     )
-    pruned = sum(o.counters.get("pruned_nodes", 0) for o in with_pre)
     edges = sum(o.counters.get("callgraph_edges", 0) for o in with_pre)
-    total_nodes = sum(o.ast_nodes or 0 for o in with_pre)
     hits_on = sum(1 for o in with_pre if o.prefiltered)
     hits_off = sum(1 for o in without_pre if o.prefiltered)
     return {
@@ -170,10 +166,6 @@ def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
         # Of all computed property sites, how many the constant-string
         # lattice pinned down to named accesses.
         "resolution_rate": _hit_rate(resolved, resolved + residual),
-        "pruned_nodes": pruned,
-        "pruned_node_fraction": (
-            _hit_rate(pruned, total_nodes + pruned) if total_nodes else None
-        ),
         "callgraph_edges": edges,
         # The prefilter's hit rate with and without the resolver — the
         # difference is what the pre-analysis buys the fast lane.
@@ -410,8 +402,7 @@ def run_bench(
 
     Since v8 the report carries a ``preanalysis`` section: the examples
     corpus vetted with the whole-program pre-analysis on and off —
-    computed-site resolution rate, pruned-node fraction, call-graph
-    edge count, the prefilter hit rate in each arm (the resolver's
+    computed-site resolution rate, call-graph edge count, the prefilter hit rate in each arm (the resolver's
     contribution is the difference), wall delta, and the bit-identical
     -signatures soundness check — and the ``fleet`` prefilter section
     gains the matching ``hits_without_resolution`` control and
@@ -557,7 +548,6 @@ def render_bench(report: dict) -> str:
             f"  preanalysis ({preanalysis['corpus']}):"
             f" {preanalysis['resolved_sites']} computed site(s) resolved"
             f" (rate {rate(preanalysis['resolution_rate'])}),"
-            f" {preanalysis['pruned_nodes']} node(s) pruned,"
             f" prefilter {rate(preanalysis['hit_rate_without_preanalysis'])}"
             f" -> {rate(preanalysis['hit_rate_with_preanalysis'])}"
         )

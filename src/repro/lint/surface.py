@@ -275,48 +275,38 @@ class PrefilterDecision:
 
 
 def decide_relevance(
-    program: js_ast.Node,
-    spec: SecuritySpec,
-    *,
-    degraded: bool = False,
-    resolution: "Resolution | None" = None,
-) -> PrefilterDecision:
-    """The prefilter decision for one parsed addon.
-
-    ``degraded`` must be True when recovery-mode parsing skipped any
-    statement: the AST under-approximates the addon, so no syntactic
-    argument about it is sound and the full (widening) pipeline must
-    run.
-    """
-    return decide_relevance_many(
-        [program], spec, degraded=degraded, resolution=resolution
-    )
-
-
-def decide_relevance_many(
     programs: Iterable[js_ast.Node],
     spec: SecuritySpec,
     *,
     degraded: bool = False,
-    resolution: "Resolution | None" = None,
+    surface: Surface | None = None,
 ) -> PrefilterDecision:
-    """The prefilter decision over *several* parsed files at once.
+    """The prefilter decision for one parsed program set: a single file
+    or every component file of an extension bundle (``repro.webext``).
 
-    Used for multi-file extensions (``repro.webext``): the surface is
-    the union across every component file, so a spec name uttered in
-    *any* component disqualifies the fast lane for the whole bundle.
-    The soundness argument is unchanged — the lowered program is built
-    from exactly these ASTs, so every name the full analysis could
+    The surface is the union across the set, so a spec name uttered in
+    *any* file disqualifies the fast lane for all of it. The soundness
+    argument holds for a set as for one file — the lowered program is
+    built from exactly these ASTs, so every name the full analysis could
     resolve appears in one of them.
 
-    ``resolution`` must come from a pre-analysis of these same parsed
-    objects; resolved computed sites then count as named surface instead
-    of disqualifying dynamism (sound because the resolver's name sets
-    over-approximate the machine's key coercion — DESIGN.md §5j).
+    ``degraded`` must be True when recovery-mode parsing skipped any
+    statement: the ASTs under-approximate the addon, so no syntactic
+    argument about them is sound and the full (widening) pipeline must
+    run.
+
+    ``surface``, when given, must be the surface of these same programs
+    — the pre-analysis hands over its own (:attr:`repro.preanalysis
+    .Preanalysis.surface`), where resolved computed sites count as named
+    surface instead of disqualifying dynamism (sound because the
+    resolver's name sets over-approximate the machine's key coercion —
+    DESIGN.md §5j). Without it, the programs are scanned here, with every
+    computed site dynamic.
     """
     if degraded:
         return PrefilterDecision(relevant=True, reason="degraded-input")
-    surface = nodes_surface(programs, resolution=resolution)
+    if surface is None:
+        surface = nodes_surface(programs)
     if surface.dynamic_code:
         return PrefilterDecision(
             relevant=True,

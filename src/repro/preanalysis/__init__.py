@@ -1,8 +1,7 @@
-"""Flow-insensitive whole-program pre-analysis (PR: resolution &
-reachability).
+"""Flow-insensitive whole-program pre-analysis.
 
-Three cooperating passes that run between parsing and lowering, in the
-spirit of JSAI's cheap specialization pre-passes:
+Cheap passes that run between parsing and lowering, in the spirit of
+JSAI's specialization pre-passes:
 
 - **computed-property resolution** — a constant-string lattice over
   :mod:`repro.domains.stringset` resolves ``obj[k]`` sites to finite
@@ -11,9 +10,8 @@ spirit of JSAI's cheap specialization pre-passes:
 - **points-to / call graph** — Andersen-style name-binding constraints
   give a callee set per call site and an entry-reachable function set
   (lint rules CG001/CG002, counters);
-- **sound pruning** — top-level functions no live code references are
-  removed before lowering, signature-preservation proven bit-identical
-  corpus-wide, with a typed refusal ladder mirroring the prefilter's.
+- the program set's **surface**, scanned once and handed to the
+  prefilter with the resolution folded in.
 
 See DESIGN.md §5j for the constraint rules and the soundness argument.
 """
@@ -36,7 +34,6 @@ from repro.preanalysis.pipeline import (
     preanalyze,
     resolve_computed_sites,
 )
-from repro.preanalysis.prune import PruneDecision, PruneResult, prune_programs
 
 __all__ = [
     "KEY_BOTTOM",
@@ -48,15 +45,12 @@ __all__ = [
     "FunctionInfo",
     "KeyValue",
     "Preanalysis",
-    "PruneDecision",
-    "PruneResult",
     "Resolution",
     "build_callgraph",
     "environment_global_names",
     "key_plus",
     "key_string",
     "preanalyze",
-    "prune_programs",
     "resolve_computed_sites",
     "solve_environment",
 ]

@@ -17,14 +17,12 @@ loop needs no special casing under this rule: a handler can only be
 dispatched after a registration call mentions it (by name or inline),
 which is exactly a reference from reachable code. A *declaration* whose
 name is never mentioned in reachable code is therefore invokable by
-nothing — the basis for the CG001 lint rule and the same criterion the
-pruning pass re-derives (over the weaker "referenced anywhere" closure;
-see :mod:`repro.preanalysis.prune`).
+nothing — the basis for the CG001 lint rule.
 
-The graph is advisory for lint and counters. The *pruning* decision
-deliberately does not consume reachability — only the reference-liveness
-fixpoint — because removing a referenced-but-unreachable declaration
-would change what the lowered program's statements mention.
+The graph is advisory for lint and counters; no pass rewrites the
+program from it. The interpreter only enters functions that are
+called, so an unreachable declaration costs lowering and one closure
+allocation, never fixpoint work.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
-"""The pre-analysis orchestrator: resolve, graph, prune, count.
+"""The pre-analysis orchestrator: scan, resolve, graph, count.
 
 ``preanalyze`` is the single entry the vetting pipeline calls between
-parsing and lowering. It runs the three cooperating passes in their
-dependency order:
+parsing and lowering. It runs its passes in their dependency order:
 
-1. computed-property **resolution** (:mod:`repro.preanalysis.constants`)
+1. the **surface scan** (:func:`repro.lint.surface.nodes_surface`) —
+   whether the program set builds code from strings, which decides
+   whether resolution can be trusted;
+2. computed-property **resolution** (:mod:`repro.preanalysis.constants`)
    — each ``obj[k]`` site either resolves to a finite name set or stays
    a *residual dynamic site*;
-2. the **call graph** (:mod:`repro.preanalysis.callgraph`) — advisory:
-   lint rules and counters, never signatures;
-3. **pruning** (:mod:`repro.preanalysis.prune`) — consumes the
-   resolution's residual count for its refusal ladder and its resolved
-   name sets for liveness.
+3. the **call graph** (:mod:`repro.preanalysis.callgraph`) — advisory:
+   lint rules and counters, never signatures.
+
+The scan's surface, with the resolved names folded in and only the
+residual sites left dynamic, goes to the relevance prefilter, so a vet
+walks the program set for its surface once.
 
 Resolution is *whole-program only*: the solved environment assumes it
 has seen every assignment to every name, which holds for a full parse
@@ -23,14 +26,17 @@ surface scan.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.js import ast as js_ast
 from repro.js.errors import Span
 from repro.lint.rules import static_property_name
 from repro.preanalysis.callgraph import CallGraph, build_callgraph
 from repro.preanalysis.constants import solve_environment
-from repro.preanalysis.prune import PruneResult, prune_programs
+
+if TYPE_CHECKING:
+    from repro.lint.surface import Surface
 
 
 @dataclass
@@ -61,36 +67,26 @@ class Preanalysis:
 
     resolution: Resolution
     callgraph: CallGraph
-    prune: PruneResult
-    #: The inputs, post-pruning (identical objects when pruning refused
-    #: or found nothing dead).
-    programs: tuple[js_ast.Program, ...]
+    #: The program set's surface with resolution applied: resolved
+    #: names are named surface, residual sites stay dynamic. Equal to
+    #: ``nodes_surface(programs, resolution)``, from a single scan.
+    surface: Surface
 
     @property
     def counters(self) -> dict[str, int]:
         return {
             "resolved_sites": self.resolution.resolved_sites,
             "residual_dynamic_sites": self.resolution.residual_sites,
-            "pruned_nodes": self.prune.pruned_nodes,
             "callgraph_edges": self.callgraph.edges,
         }
 
     def render(self) -> str:
-        lines = [
+        return (
             "preanalysis: "
             f"{self.resolution.resolved_sites} computed site(s) resolved, "
             f"{self.resolution.residual_sites} residual dynamic, "
-            f"{self.callgraph.edges} call edge(s)",
-            self.prune.decision.render()
-            + (
-                f" ({self.prune.pruned_nodes} node(s) removed: "
-                + ", ".join(self.prune.removed)
-                + ")"
-                if self.prune.removed
-                else ""
-            ),
-        ]
-        return "\n".join(lines)
+            f"{self.callgraph.edges} call edge(s)"
+        )
 
 
 def resolve_computed_sites(
@@ -138,17 +134,14 @@ def preanalyze(
     surface = nodes_surface(programs)
     trusted = not degraded and not surface.dynamic_code
     resolution = resolve_computed_sites(programs, trusted=trusted)
-    callgraph = build_callgraph(programs)
-    prune = prune_programs(
-        programs,
-        degraded=degraded,
-        dynamic_code=surface.dynamic_code,
-        residual_dynamic_sites=resolution.residual_sites,
-        resolved=resolution.resolved,
-    )
     return Preanalysis(
         resolution=resolution,
-        callgraph=callgraph,
-        prune=prune,
-        programs=prune.programs,
+        callgraph=build_callgraph(programs),
+        surface=replace(
+            surface,
+            names=surface.names.union(*resolution.resolved.values()),
+            dynamic_properties=bool(resolution.residual_spans),
+            dynamic_property_sites=resolution.residual_spans,
+            resolved_sites=len(resolution.resolved_spans),
+        ),
     )

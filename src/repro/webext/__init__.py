@@ -16,8 +16,9 @@ message-passing. This package assembles such a directory into one
   single cycle so abstract message channels connect the components;
 - :mod:`repro.webext.guards` — sender-origin guard detection and the
   paper-style conditional-flow downgrade;
-- :mod:`repro.webext.pipeline` — the full vetting pipeline for bundles
-  (what :func:`repro.api.vet` delegates to).
+- :mod:`repro.webext.pipeline` — the bundle front end: the program set,
+  environment, default spec and sender-guard pass that
+  :func:`repro.api.vet` runs its one pipeline with.
 """
 
 from repro.webext.loader import (

@@ -5,8 +5,8 @@ cache, diffvet chains, the service job queue — moves addons around as
 *source strings* (hashable, picklable, journal-able). Rather than teach
 each of those paths about directories, an extension directory is
 serialized into a single canonical JSON text (a *bundle*) carrying the
-manifest plus every ``.js`` file. ``api.vet`` and friends sniff bundle
-texts via a magic first key and route them through the webext pipeline;
+manifest plus every ``.js`` file. ``api.select_front_end`` sniffs
+bundle texts via a magic first key and picks the bundle front end;
 everything else treats them as opaque source strings, unchanged.
 
 The magic key ``%webext-bundle`` starts with ``%`` (0x25), which sorts

@@ -50,10 +50,9 @@ from repro.webext.loader import ExtensionBundle
 class ParsedExtension:
     """All components of a bundle parsed, before lowering.
 
-    Splitting parse from lowering lets the pre-analysis run over the
-    parsed file ASTs (and, when pruning fires, substitute pruned
-    programs) while the prefilter and ``ast_nodes`` bookkeeping keep
-    seeing the originals.
+    Splitting parse from lowering lets the pre-analysis and the
+    prefilter run over the parsed file ASTs, and a prefiltered bundle
+    skip lowering altogether.
     """
 
     #: component name -> file paths that formed it, in order.
@@ -115,26 +114,13 @@ def parse_extension(
     )
 
 
-def lower_parsed_extension(
-    parsed_extension: ParsedExtension,
-    programs: tuple[ast.Program, ...] | None = None,
-) -> LoweredExtension:
-    """Lower an already-parsed bundle into one program.
-
-    ``programs``, when given, substitutes the statement source per file
-    (parallel to ``parsed_extension.parsed`` — the pruned programs of
-    :func:`repro.preanalysis.preanalyze`). Bookkeeping fields
-    (``parsed``, ``component_files``, ``skipped``) always describe the
-    *original* parse.
-    """
-    source_programs = (
-        programs if programs is not None else parsed_extension.parsed
-    )
+def lower_parsed_extension(parsed_extension: ParsedExtension) -> LoweredExtension:
+    """Lower an already-parsed bundle into one program."""
     component_sources: list[tuple[str, list[ast.Statement], SourcePosition]] = []
     by_component: dict[str, list[ast.Program]] = {
         name: [] for name in parsed_extension.order
     }
-    for owner, program in zip(parsed_extension.owners, source_programs):
+    for owner, program in zip(parsed_extension.owners, parsed_extension.parsed):
         by_component[owner].append(program)
     for name in parsed_extension.order:
         statements: list[ast.Statement] = []

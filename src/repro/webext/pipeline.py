@@ -1,174 +1,66 @@
-"""The WebExtensions vetting pipeline: bundle -> :class:`VettingReport`.
+"""The WebExtensions front end: bundle text -> :class:`~repro.api.ProgramSet`.
 
-Same three phases as the single-file pipeline (:func:`repro.api.vet`),
-with the front end swapped for the multi-file lowering, the environment
-for :class:`repro.browser.chrome.WebExtEnvironment`, the default spec
-for :func:`repro.browser.chrome.webext_spec`, and one extra inference
-step: the sender-guard downgrade of :mod:`repro.webext.guards`, applied
-*before* salvage widening (a degraded run's ⊤ entries must stay ⊤).
+:func:`repro.api.vet` runs one pipeline for every input; a bundle swaps
+in the multi-file parse and lowering, the
+:class:`repro.browser.chrome.WebExtEnvironment`, the
+:func:`repro.browser.chrome.webext_spec` default, and one extra
+inference step: the sender-guard downgrade of :mod:`repro.webext.guards`,
+applied *before* salvage widening (a degraded run's ⊤ entries must stay
+⊤). The counters additionally record the cross-component shape of the
+run: ``components``, ``channels`` (distinct channels any loop
+dispatched), and ``sender_guards``.
+
+The pre-analysis and the prefilter see every parsed component file at
+once: resolution is whole-bundle (a content script may hold the only
+write to a key a background script reads).
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.analysis import analyze
-from repro.api import VettingReport, infer_detail
+from repro.analysis import AnalysisResult
+from repro.api import FrontEnd, ProgramSet, recovery_degradation
 from repro.browser.chrome import WebExtEnvironment, webext_spec
-from repro.faults import Budget, Degradation, FailureKind
 from repro.js import node_count
-from repro.pdg import build_pdg
-from repro.perf import Counters, PhaseTimes
-from repro.signatures import (
-    InferenceDetail,
-    SecuritySpec,
-    Signature,
-    compare,
-    widen_detail,
-)
+from repro.pdg import PDG
+from repro.perf import Counters
+from repro.signatures import InferenceDetail
 from repro.webext.guards import downgrade_guarded, find_sender_guards
-from repro.webext.loader import ExtensionBundle, bundle_from_text
+from repro.webext.loader import bundle_from_text
 from repro.webext.lowering import lower_parsed_extension, parse_extension
 
 
-def vet_extension(
-    source: str | ExtensionBundle,
-    manual: Signature | None = None,
-    real_extras: frozenset = frozenset(),
-    spec: SecuritySpec | None = None,
-    k: int = 1,
-    budget: Budget | None = None,
-    recover: bool = False,
-    prefilter: bool = False,
-    preanalysis: bool = True,
-) -> VettingReport:
-    """Vet one extension bundle (or its serialized bundle text).
-
-    Mirrors :func:`repro.api.vet` so batch/diffvet/service code can
-    treat extension reports and single-file reports uniformly. The
-    counters additionally record the cross-component shape of the run:
-    ``components``, ``channels`` (distinct channels any loop
-    dispatched), and ``sender_guards``.
-
-    The pre-analysis (``preanalysis=True``) runs over the union of all
-    parsed component files — resolution and pruning are whole-bundle
-    (a content script may hold the only reference to a background
-    function's property name), so the liveness fixpoint must see every
-    file at once.
-    """
-    from repro.lint.surface import decide_relevance_many
-
-    bundle = source if isinstance(source, ExtensionBundle) else bundle_from_text(source)
-    resolved_spec = spec if spec is not None else webext_spec()
-    start = time.perf_counter()
-    parsed = parse_extension(bundle, recover=recover)
-    degradations: list[Degradation] = [
-        Degradation(
-            kind=(
-                FailureKind.UNSUPPORTED_SYNTAX
-                if skip.unsupported
-                else FailureKind.PARSE_ERROR
-            ),
-            detail=f"skipped top-level statement in {path}: {skip.render()}",
-        )
-        for path, skip in parsed.skipped
-    ]
-    ast_nodes = sum(node_count(program) for program in parsed.parsed)
-
-    pre = None
-    if preanalysis:
-        from repro.preanalysis import preanalyze
-
-        pre = preanalyze(parsed.parsed, degraded=bool(degradations))
-
-    decision = None
-    if prefilter:
-        decision = decide_relevance_many(
-            parsed.parsed,
-            resolved_spec,
-            degraded=bool(degradations),
-            resolution=pre.resolution if pre is not None else None,
-        )
-        if not decision.relevant:
-            lowered = lower_parsed_extension(parsed)
-            after_parse = time.perf_counter()
-            detail = InferenceDetail(
-                signature=Signature(), provenance={}, source_statements={}
-            )
-            comparison = None
-            if manual is not None:
-                comparison = compare(detail.signature, manual, real_extras)
-            counters = Counters()
-            counters["prefiltered"] = 1
-            counters["components"] = len(parsed.component_files)
-            if pre is not None:
-                counters.update(pre.counters)
-            return VettingReport(
-                program=lowered.program,
-                result=None,
-                pdg=None,
-                detail=detail,
-                ast_nodes=ast_nodes,
-                comparison=comparison,
-                phase_times=PhaseTimes(p1=after_parse - start, p2=0.0, p3=0.0),
-                counters=counters,
-                degradations=(),
-                prefiltered=True,
-                prefilter_decision=decision,
-                preanalysis=pre,
-            )
-
-    # Lower the pruned programs when pruning fired; bookkeeping (the
-    # ``parsed`` ASTs, ``ast_nodes``) stays on the originals.
-    analysis_programs = (
-        pre.programs if pre is not None and pre.prune.pruned_nodes else None
+def read_bundle(source: str, recover: bool) -> ProgramSet:
+    """Parse every component file of a serialized bundle."""
+    parsed = parse_extension(bundle_from_text(source), recover=recover)
+    return ProgramSet(
+        programs=parsed.parsed,
+        degradations=[
+            recovery_degradation(skip, f" in {path}") for path, skip in parsed.skipped
+        ],
+        ast_nodes=sum(node_count(program) for program in parsed.parsed),
+        lower=lambda: lower_parsed_extension(parsed).program,
+        environment=WebExtEnvironment,
+        post_inference=_downgrade_sender_guarded,
+        counters={"components": len(parsed.component_files)},
     )
-    lowered = lower_parsed_extension(parsed, programs=analysis_programs)
 
-    result = analyze(
-        lowered.program, WebExtEnvironment(), k=k, budget=budget, salvage=True
-    )
-    degradations.extend(result.degradations)
-    after_p1 = time.perf_counter()
-    pdg = build_pdg(result)
-    after_p2 = time.perf_counter()
-    detail = infer_detail(result, pdg, resolved_spec)
+
+def _downgrade_sender_guarded(
+    result: AnalysisResult, pdg: PDG, detail: InferenceDetail, counters: Counters
+) -> InferenceDetail:
     guards = find_sender_guards(result, pdg)
-    detail = downgrade_guarded(detail, guards)
-    if degradations:
-        detail = widen_detail(detail, resolved_spec)
-    after_p3 = time.perf_counter()
-    comparison = None
-    if manual is not None:
-        comparison = compare(detail.signature, manual, real_extras)
-    counters = Counters(result.counters)
-    counters["pdg_edges"] = len(pdg.edges)
-    counters["pdg_cyclic_statements"] = len(pdg.cyclic)
-    counters["signature_entries"] = len(detail.signature.entries)
-    counters["components"] = len(parsed.component_files)
     counters["channels"] = len(
         {channel for channels in result.loop_channels.values() for channel in channels}
     )
     counters["sender_guards"] = len(guards.branches)
-    if degradations:
-        counters["degradations"] = len(degradations)
-    if pre is not None:
-        counters.update(pre.counters)
-    return VettingReport(
-        program=lowered.program,
-        result=result,
-        pdg=pdg,
-        detail=detail,
-        ast_nodes=ast_nodes,
-        comparison=comparison,
-        unknown_calls=result.unknown_callees,
-        phase_times=PhaseTimes(
-            p1=after_p1 - start,
-            p2=after_p2 - after_p1,
-            p3=after_p3 - after_p2,
-        ),
-        counters=counters,
-        degradations=tuple(degradations),
-        prefilter_decision=decision,
-        preanalysis=pre,
-    )
+    return downgrade_guarded(detail, guards)
+
+
+#: A serialized extension bundle. The change-surface certificate is
+#: defined over single JS files, so bundle updates never take the fast
+#: lane.
+BUNDLE = FrontEnd(
+    read=read_bundle,
+    default_spec=webext_spec,
+    certificate_refusal="refused:webext-bundle",
+)

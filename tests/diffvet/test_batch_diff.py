@@ -102,6 +102,36 @@ class TestFastLaneIdentity:
         )
         assert {o.name: o for o in ungated}["ui_theme"].incremental
 
+    def test_bundle_updates_skip_certification(self, monkeypatch):
+        # The certificate is defined over single JS files: a bundle
+        # update skips it, as diff_vet refuses it, at any size.
+        from repro.diffvet import incremental
+        from repro.webext.loader import load_source
+
+        def certify(*args, **kwargs):
+            raise AssertionError("a bundle update reached the certificate")
+
+        monkeypatch.setattr(incremental, "certify_unchanged", certify)
+        extensions = REPO / "examples" / "extensions"
+        old = load_source(extensions / "cookie_exfil_guarded")
+        [baseline] = vet_many([VetTask(name="x", source=old)], use_cache=False, workers=1)
+        [update] = vet_many(
+            [
+                VetTask(
+                    name="x",
+                    source=load_source(extensions / "cookie_exfil"),
+                    baseline_source=old,
+                    baseline_signature_text=baseline.signature_text,
+                    fast_lane_min_chars=0,
+                )
+            ],
+            use_cache=False, workers=1,
+        )
+        assert update.ok and not update.incremental
+        assert update.counters.get("certification_skipped") == 1
+        assert "certification_attempted" not in update.counters
+        assert update.diff_verdict == "re-review"
+
     def test_incremental_off_never_fast_lanes(self, baselines):
         full = vet_many(
             _update_tasks(baselines, False), use_cache=False, workers=1

@@ -83,7 +83,6 @@ class TestDegenerateCorpora:
         section = _bench_preanalysis(tmp_path)  # exists, holds no *.js
         assert section["addons"] == 0
         assert section["resolution_rate"] is None
-        assert section["pruned_node_fraction"] is None
         assert section["hit_rate_with_preanalysis"] is None
         assert section["identical_signatures"]
 

@@ -109,6 +109,22 @@ class TestDisqualifiers:
         assert report.result is None and report.pdg is None
         assert len(report.signature) == 0
 
+    def test_prefiltered_reports_lower_nothing(self):
+        from repro.webext.loader import ExtensionBundle
+
+        bundle = ExtensionBundle(
+            name="quiet",
+            manifest_text=(
+                '{"manifest_version": 3, "name": "q", "version": "1",'
+                ' "background": {"service_worker": "bg.js"}}'
+            ),
+            files=(("bg.js", "var palette = { light: 1, dark: 0 };"),),
+        )
+        for source in (IRRELEVANT, bundle.to_text()):
+            report = vet(source, prefilter=True)
+            assert report.prefiltered
+            assert report.program is None
+
     def test_relevant_addon_is_not_prefiltered(self):
         assert not vet(RELEVANT, prefilter=True).prefiltered
 
@@ -117,27 +133,27 @@ class TestDisqualifiers:
         source = IRRELEVANT + "\neval('anything');"
         report = vet(source, prefilter=True)
         assert not report.prefiltered
-        decision = decide_relevance(parse(source), mozilla_spec())
+        decision = decide_relevance([parse(source)], mozilla_spec())
         assert decision.reason == "dynamic-code"
 
     def test_aliased_eval_disqualifies(self):
         source = IRRELEVANT + "\nvar e = eval;"
-        decision = decide_relevance(parse(source), mozilla_spec())
+        decision = decide_relevance([parse(source)], mozilla_spec())
         assert decision.relevant and decision.reason == "dynamic-code"
 
     def test_string_timer_disqualifies(self):
         source = IRRELEVANT + "\nsetTimeout('tick()', 50);"
-        decision = decide_relevance(parse(source), mozilla_spec())
+        decision = decide_relevance([parse(source)], mozilla_spec())
         assert decision.relevant and decision.reason == "dynamic-code"
 
     def test_dynamic_properties_disqualify(self):
         source = IRRELEVANT + "\nvar w = whatever[pick('dark')];"
-        decision = decide_relevance(parse(source), mozilla_spec())
+        decision = decide_relevance([parse(source)], mozilla_spec())
         assert decision.relevant and decision.reason == "dynamic-properties"
 
     def test_degraded_input_disqualifies(self):
         decision = decide_relevance(
-            parse(IRRELEVANT), mozilla_spec(), degraded=True
+            [parse(IRRELEVANT)], mozilla_spec(), degraded=True
         )
         assert decision.relevant and decision.reason == "degraded-input"
 
@@ -150,7 +166,7 @@ class TestDisqualifiers:
         assert report.degraded
 
     def test_spec_overlap_reports_the_shared_names(self):
-        decision = decide_relevance(parse(RELEVANT), mozilla_spec())
+        decision = decide_relevance([parse(RELEVANT)], mozilla_spec())
         assert decision.reason == "surface-overlap"
         assert {"open", "send"} <= decision.overlap
 

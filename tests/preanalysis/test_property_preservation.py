@@ -5,7 +5,7 @@ Every generated addon knows its expected signature, so each drawn case
 checks three ways at once: preanalysis-on equals preanalysis-off equals
 the expected text. Bundles ride through ``generate_addon`` (the
 generator mixes singles and multi-file extensions), so the webext
-parse/prune path is exercised by the same property.
+parse/resolution path is exercised by the same property.
 """
 
 import random
