@@ -35,6 +35,7 @@ from repro.analysis.environment import DefaultEnvironment, Environment, NativeCa
 from repro.analysis.wto import build_schedule
 from repro.domains import values as values_domain
 from repro.domains.objects import AbstractObject, function_object, interned_object
+from repro.domains.pmap import drop_merge_memo
 from repro.domains.state import COPIES, State
 from repro.domains.values import AbstractValue
 from repro.faults import Budget, Degradation, FailureKind
@@ -378,66 +379,70 @@ class Interpreter:
     # Fixpoint driver
 
     def run(self) -> AnalysisResult:
-        copies_before = COPIES.value
-        initial = State()
-        builtins.install(initial)
-        self.environment.setup(initial, self)
-        entry = self.program.main.entry
-        self._propagate(entry.sid, EMPTY_CONTEXT, initial)
+        # The merge memo pins the trie nodes it keys on: scope it to this run.
+        try:
+            copies_before = COPIES.value
+            initial = State()
+            builtins.install(initial)
+            self.environment.setup(initial, self)
+            entry = self.program.main.entry
+            self._propagate(entry.sid, EMPTY_CONTEXT, initial)
 
-        meter = self.budget.start()
-        steps = 0
-        processed = 0
-        while self.worklist:
-            steps += 1
-            tripped = meter.check(steps, len(self.states))
-            if tripped is not None:
-                if not self.salvage:
-                    raise AnalysisBudgetExceeded(meter.describe(tripped), kind=tripped)
-                self._salvage(tripped, meter.describe(tripped))
-                break
-            # Process in weak topological order: a pending node inside an
-            # inner cyclic component sorts before everything downstream
-            # of the component, so the cycle iterates to stabilization
-            # before its results propagate outward. Rank ties (same
-            # component, or components the graph does not order) fall
-            # back to statement order, matching the previous scheduling.
-            _rank, sid, context = heapq.heappop(self.worklist)
-            node = (sid, context)
-            self.on_worklist.discard(node)
-            self._process(node)
-            processed += 1
+            meter = self.budget.start()
+            steps = 0
+            processed = 0
+            while self.worklist:
+                steps += 1
+                tripped = meter.check(steps, len(self.states))
+                if tripped is not None:
+                    if not self.salvage:
+                        raise AnalysisBudgetExceeded(meter.describe(tripped), kind=tripped)
+                    self._salvage(tripped, meter.describe(tripped))
+                    break
+                # Process in weak topological order: a pending node inside an
+                # inner cyclic component sorts before everything downstream
+                # of the component, so the cycle iterates to stabilization
+                # before its results propagate outward. Rank ties (same
+                # component, or components the graph does not order) fall
+                # back to statement order, matching the previous scheduling.
+                _rank, sid, context = heapq.heappop(self.worklist)
+                node = (sid, context)
+                self.on_worklist.discard(node)
+                self._process(node)
+                processed += 1
 
-        self.counters["fixpoint_steps"] = steps
-        # Visits served by an already-compiled transfer closure (every
-        # visit after a statement's first).
-        self.counters["closure_cache_hits"] = processed - len(self._compiled)
-        self.counters["analysis_nodes"] = len(self.states)
-        self.counters["states_created"] = COPIES.value - copies_before
-        # All state copies share structure (O(1) persistent-map copies).
-        self.counters["shared_copies"] = COPIES.value - copies_before
-        self.counters["wto_components"] = self.schedule.components
-        self.counters["widening_points"] = self.schedule.cyclic_components
-        return AnalysisResult(
-            program=self.program,
-            states=self.states,
-            call_edges=self.call_edges,
-            return_sites=self.return_sites,
-            throwing=frozenset(self.throwing),
-            unknown_callees=frozenset(self.unknown_callees),
-            handlers=self.handler_value,
-            multi_instance=frozenset(self._multi_instance),
-            diagnostics=frozenset(self.diagnostics),
-            sensitivity=self.sensitivity,
-            counters=self.counters,
-            degradations=tuple(self.degradations),
-            unsettled=frozenset(self.unsettled),
-            loop_dispatches=dict(self.loop_dispatches),
-            loop_channels={
-                sid: frozenset(channels)
-                for sid, channels in self.loop_channels.items()
-            },
-        )
+            self.counters["fixpoint_steps"] = steps
+            # Visits served by an already-compiled transfer closure (every
+            # visit after a statement's first).
+            self.counters["closure_cache_hits"] = processed - len(self._compiled)
+            self.counters["analysis_nodes"] = len(self.states)
+            self.counters["states_created"] = COPIES.value - copies_before
+            # All state copies share structure (O(1) persistent-map copies).
+            self.counters["shared_copies"] = COPIES.value - copies_before
+            self.counters["wto_components"] = self.schedule.components
+            self.counters["widening_points"] = self.schedule.cyclic_components
+            return AnalysisResult(
+                program=self.program,
+                states=self.states,
+                call_edges=self.call_edges,
+                return_sites=self.return_sites,
+                throwing=frozenset(self.throwing),
+                unknown_callees=frozenset(self.unknown_callees),
+                handlers=self.handler_value,
+                multi_instance=frozenset(self._multi_instance),
+                diagnostics=frozenset(self.diagnostics),
+                sensitivity=self.sensitivity,
+                counters=self.counters,
+                degradations=tuple(self.degradations),
+                unsettled=frozenset(self.unsettled),
+                loop_dispatches=dict(self.loop_dispatches),
+                loop_channels={
+                    sid: frozenset(channels)
+                    for sid, channels in self.loop_channels.items()
+                },
+            )
+        finally:
+            drop_merge_memo()
 
     def _salvage(self, kind: FailureKind, detail: str) -> None:
         """Finish a budget-tripped run in a usable, flagged form.

@@ -38,6 +38,7 @@ from repro.corpusgen.generator import (
     generate_corpus,
     generate_updates,
 )
+from repro.perf import peak_rss_mb
 
 #: The keys every ``fleet`` section must carry — CI fails on drift.
 FLEET_SECTION_KEYS = (
@@ -55,19 +56,6 @@ FLEET_SECTION_KEYS = (
     "peak_rss_mb",
     "robustness",
 )
-
-
-def _peak_rss_mb() -> float | None:
-    """High-water RSS of this process plus its (reaped) children, MB."""
-    try:
-        import resource
-    except ImportError:  # non-POSIX
-        return None
-    peak_kb = (
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    )
-    return round(peak_kb / 1024.0, 2)
 
 
 def _tasks(corpus: list[GeneratedAddon], *, prefilter: bool = True) -> list[VetTask]:
@@ -407,7 +395,7 @@ def run_fleet(
         "cache": cache,
         "updates": update_section,
         "service": service_section,
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb(),
         "robustness": summarize(outcomes),
     }
     if output is not None:

@@ -58,8 +58,8 @@ class _CollisionNode:
 
 _EMPTY_ROOT = _BitmapNode(0, [])
 
-# Memo tables for structural merge/leq, keyed by *node identity*. States
-# at a fixpoint are re-joined with the same operands every round (the
+# Memo table for structural merge, keyed by *node identity*. States at
+# a fixpoint are re-joined with the same operands every round (the
 # stored trie and the incoming trie stabilize to fixed objects even when
 # they do not literally share nodes), so caching per (a, b, combine)
 # node pair turns those re-verification walks into O(1) lookups — and,
@@ -70,12 +70,18 @@ _EMPTY_ROOT = _BitmapNode(0, [])
 # after eviction. Eviction is generational (live generation demoted,
 # previous generation dropped; hits in the old generation re-promote),
 # so overflow sheds cold entries instead of flushing the hot working
-# set. Never a correctness issue — only a perf miss.
+# set. Never a correctness issue — only a perf miss. Each analysis builds
+# fresh tries, so no entry can hit in a later one: analyses drop the memo
+# when they end (:func:`drop_merge_memo`) instead of pinning their tries.
 _MERGE_MEMO: dict = {}
 _MERGE_MEMO_OLD: dict = {}
-_LEQ_MEMO: dict = {}
-_LEQ_MEMO_OLD: dict = {}
 _MEMO_LIMIT = 1 << 17
+
+
+def drop_merge_memo() -> None:
+    """Forget every memoized merge (both generations)."""
+    _MERGE_MEMO.clear()
+    _MERGE_MEMO_OLD.clear()
 
 
 def _key_hash(key: Any) -> int:
@@ -292,18 +298,9 @@ def _leq(a, b, shift: int, leq_values, absent_ok) -> bool:
     if a is b:
         return True
     if type(a) is _BitmapNode and type(b) is _BitmapNode:
-        global _LEQ_MEMO, _LEQ_MEMO_OLD
-        memo_key = (id(a), id(b), id(leq_values), id(absent_ok))
-        hit = _LEQ_MEMO.get(memo_key)
-        if hit is None:
-            hit = _LEQ_MEMO_OLD.get(memo_key)
-        if hit is not None and hit[0] is a and hit[1] is b:
-            _LEQ_MEMO[memo_key] = hit
-            return hit[2]
         abm = a.bitmap
         bbm = b.bitmap
         remaining = abm
-        result = True
         while remaining:
             bit = remaining & -remaining
             remaining ^= bit
@@ -316,17 +313,10 @@ def _leq(a, b, shift: int, leq_values, absent_ok) -> bool:
                     leq_values,
                     absent_ok,
                 ):
-                    result = False
-                    break
-            else:
-                if not all(absent_ok(value) for _key, value in _entries(slot_a)):
-                    result = False
-                    break
-        if len(_LEQ_MEMO) >= _MEMO_LIMIT:
-            _LEQ_MEMO_OLD = _LEQ_MEMO
-            _LEQ_MEMO = {}
-        _LEQ_MEMO[memo_key] = (a, b, result)
-        return result
+                    return False
+            elif not all(absent_ok(value) for _key, value in _entries(slot_a)):
+                return False
+        return True
     for key, value in _entries(a):
         bound = _get_in(b, shift, _key_hash(key), key, _SENTINEL)
         if bound is _SENTINEL:

@@ -21,7 +21,8 @@ The report also records per-shape ``doubling_ratios`` (p1 of each size
 over p1 of the previous, sizes doubling; quadratic would double into
 ~4), the end-to-end ``loglog_slope`` of p1 vs AST nodes, and a
 ``subquadratic`` verdict: slope < 1.8, i.e. the curve is visibly below
-quadratic (slope 2) with margin for timing noise.
+quadratic (slope 2) with margin for timing noise. ``peak_rss_mb`` is
+the sweep process's memory high-water mark (reported, not gated).
 
 ``check_regression`` gates a fresh report against a checked-in
 baseline: it fails when P1 at the largest size regressed more than
@@ -216,6 +217,7 @@ def run_scaling(
 ) -> dict:
     """Sweep the synthetic shapes; return (and optionally write) the report."""
     from repro.js import node_count, parse
+    from repro.perf import peak_rss_mb
 
     sizes = sizes if sizes is not None else DEFAULT_SIZES
     shapes = []
@@ -259,6 +261,7 @@ def run_scaling(
             "k": k,
         },
         "shapes": shapes,
+        "peak_rss_mb": peak_rss_mb(),
     }
     if output is not None:
         from repro.store import atomic_write_json
@@ -347,7 +350,7 @@ def check_regression(
 def render_scaling(report: dict) -> str:
     lines = [
         f"scaling bench ({report['protocol']['runs']} runs/size, "
-        "best-of after warm-up discard)",
+        f"best-of after warm-up discard; peak RSS {report['peak_rss_mb']} MB)",
     ]
     for shape_report in report["shapes"]:
         lines.append("")

@@ -1,6 +1,6 @@
 """Lightweight performance observability shared across the pipeline.
 
-Two small pieces every layer can agree on without import cycles:
+Small pieces every layer can agree on without import cycles:
 
 - :class:`PhaseTimes` — the paper's P1/P2/P3 wall-time split (Section
   6.2), used by ``api.vet``, the timing harness, the batch engine, and
@@ -8,7 +8,8 @@ Two small pieces every layer can agree on without import cycles:
 - :class:`Counters` — a plain named-integer bag for hot-path statistics
   (fixpoint steps, states created, joins, PDG edges, ...). Counters are
   pure observation: they never feed back into analysis decisions, so
-  enabling them cannot change any signature.
+  enabling them cannot change any signature;
+- :func:`peak_rss_mb` — the process's memory high-water mark.
 """
 
 from __future__ import annotations
@@ -97,3 +98,16 @@ class Counters(dict):
         for name, amount in other.items():
             merged[name] = merged.get(name, 0) + amount
         return merged
+
+
+def peak_rss_mb() -> float | None:
+    """High-water RSS of this process plus its (reaped) children, MB."""
+    try:
+        import resource
+    except ImportError:  # non-POSIX
+        return None
+    peak_kb = sum(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    return round(peak_kb / 1024.0, 2)

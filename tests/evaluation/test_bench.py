@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.addons import CORPUS
-from repro.evaluation import check_regression, run_bench, run_scaling
+from repro.evaluation import check_regression, render_scaling, run_bench, run_scaling
 from repro.evaluation.scaling import synthesize_chain, synthesize_flat
 
 
@@ -152,6 +152,11 @@ class TestScalingReport:
                 assert entry["samples_kept"] == 2
                 assert entry["counters"]["fixpoint_steps"] > 0
                 assert entry["counters"]["wto_components"] > 0
+
+    def test_peak_rss_recorded_and_rendered(self, scaling_report):
+        peak = scaling_report["peak_rss_mb"]
+        assert peak is None or peak > 0
+        assert f"peak RSS {peak} MB" in render_scaling(scaling_report)
 
     def test_flows_found_at_every_size(self, scaling_report):
         by_shape = {s["shape"]: s for s in scaling_report["shapes"]}
