@@ -211,11 +211,10 @@ def _draw_blueprint(
         if fragment is not None:
             fragments.append(fragment)
     rng.shuffle(fragments)
-    dead = tuple(
+    dead = [
         dead_code_block(names.draw(2), rng.randrange(10_000))
         for _ in range(rng.randrange(0, 3))
-    )
-    blueprint = Blueprint(tuple(fragments), dead, names.counter)
+    ]
     # Analysis-heavy padding: alternate benign loops (which cost the
     # interpreter fixpoint iterations while parsing stays linear) with
     # dead-weight blocks (churn material). Loop-dominated bases make
@@ -223,31 +222,25 @@ def _draw_blueprint(
     # two-parse cost — measured ~120ms saved per certificate hit vs
     # ~21ms per miss — which is what lets the fast lane amortize at
     # fleet scale (pure straight-line padding breaks even at best).
+    # Rendering concatenates every piece, so a running length stands in
+    # for re-rendering the base per block.
+    length = sum(len(f.text) for f in fragments) + sum(map(len, dead)) if pad_to else 0
     toggle = False
-    while pad_to and len(blueprint.render()) < pad_to:
+    while length < pad_to:
         if toggle:
-            block = dead_code_block(names.draw(2), rng.randrange(10_000))
-            blueprint = replace(
-                blueprint, dead=blueprint.dead + (block,),
-                next_id=names.counter,
-            )
+            dead.append(dead_code_block(names.draw(2), rng.randrange(10_000)))
+            length += len(dead[-1])
         else:
-            loop = build_fragment("benign-loop", names.draw(2), None)
-            blueprint = replace(
-                blueprint, fragments=blueprint.fragments + (loop,),
-                next_id=names.counter,
-            )
+            fragments.append(build_fragment("benign-loop", names.draw(2), None))
+            length += len(fragments[-1].text)
         toggle = not toggle
     # Padded (update-chain) bases guarantee a non-empty dead-block
     # *tail*: with len(dead) > len(fragments) the trailing blocks render
     # after every fragment, giving tail-only dead-code churn (see
     # :func:`mutate_dead_code`) a certifiable place to land.
-    while pad_to and len(blueprint.dead) <= len(blueprint.fragments):
-        block = dead_code_block(names.draw(2), rng.randrange(10_000))
-        blueprint = replace(
-            blueprint, dead=blueprint.dead + (block,), next_id=names.counter
-        )
-    return blueprint
+    while pad_to and len(dead) <= len(fragments):
+        dead.append(dead_code_block(names.draw(2), rng.randrange(10_000)))
+    return Blueprint(tuple(fragments), tuple(dead), names.counter)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ equality for tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
@@ -33,10 +34,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield all direct child nodes, in source order."""
-        for f in fields(self):
-            if f.name == "position":
-                continue
-            value = getattr(self, f.name)
+        for name in _child_fields(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):
@@ -45,10 +44,21 @@ class Node:
                         yield item
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants, pre-order.
+
+        Iterative (an explicit stack), so arbitrarily deep trees walk
+        without touching Python's recursion limit."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(list(node.children())))
+
+
+@functools.cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """The names of ``cls``'s fields that may hold child nodes."""
+    return tuple(f.name for f in fields(cls) if f.name != "position")
 
 
 def node_count(node: Node) -> int:

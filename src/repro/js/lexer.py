@@ -1,32 +1,68 @@
-"""A hand-written lexer for the ES5 subset used by browser addons.
+"""A regex-driven lexer for the ES5 subset used by browser addons.
 
-The lexer performs maximal-munch tokenization with:
+One scanner walks the source with one compiled pattern per token. Each
+match first skips the gap before the token (whitespace including NBSP
+and BOM, line terminators, line and block comments) and then matches
+the token itself: an identifier or keyword, a decimal or hex number, a
+string literal without escapes, or a punctuator (the alternation runs
+longest first, so matching is maximal munch). Three cases leave the
+pattern for a small routine that still scans by pattern, never one
+character at a time:
 
-- full comment handling (line and block comments, with newline tracking
-  through block comments for automatic semicolon insertion),
-- string literals with the usual escape sequences,
-- decimal / hex / octal-free numeric literals,
-- regular-expression literals, disambiguated from division using the
+- string literals with escapes or line continuations, decoded chunk by
+  chunk;
+- regular-expression literals, disambiguated from division by the
   standard previous-token heuristic (a ``/`` starts a regex unless the
-  previous significant token could end an expression),
-- newline tracking on every token (``preceded_by_newline``) so the parser
-  can implement automatic semicolon insertion and restricted productions.
+  previous significant token could end an expression);
+- malformed input, which raises :class:`LexError` at the start of the
+  offending token.
+
+Line and column come from counting line terminators (LF, CR, CRLF as
+one, U+2028, U+2029) in each skipped gap and in the rare token that
+spans lines. Every token records whether its gap held a terminator
+(``preceded_by_newline``), so the parser can implement automatic
+semicolon insertion and restricted productions.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.js.errors import LexError, SourcePosition
-from repro.js.tokens import KEYWORDS, Token, TokenType, punctuators_of_length
+from repro.js.tokens import KEYWORDS, PUNCTUATORS, Token, TokenType
 
-_LINE_TERMINATORS = "\n\r  "
-_WHITESPACE = " \t\v\f ﻿"
+_LINE_TERMINATORS = "\n\r\u2028\u2029"
+_WHITESPACE = " \t\v\f\xa0\ufeff"
+_IDENT_START = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+_COMMENT = rf"//[^{_LINE_TERMINATORS}]*|/\*[\s\S]*?\*/"
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+#: Skips the gap before a token, then matches the token. Group 1 is the
+#: part of the gap from its first line terminator or comment on (a gap
+#: of plain whitespace leaves it unmatched, so no terminators need
+#: counting); groups 2-5 are an identifier or keyword, a number, a
+#: string without escapes, and a punctuator. No token group matches at
+#: the end of input and where a dedicated routine (or an error) takes
+#: over.
+_TOKEN = re.compile(
+    rf"[{_WHITESPACE}]*((?:[{_LINE_TERMINATORS}]|{_COMMENT})"
+    rf"(?:[{_WHITESPACE}{_LINE_TERMINATORS}]+|{_COMMENT})*)?"
+    r"(?:([A-Za-z_$][A-Za-z0-9_$]*)"
+    r"|(0[xX][0-9a-fA-F]*|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?)"
+    rf"|('[^'\\{_LINE_TERMINATORS}]*'|\"[^\"\\{_LINE_TERMINATORS}]*\")"
+    r"|(" + "|".join(map(re.escape, sorted(PUNCTUATORS, key=len, reverse=True)))
+    + r"))?"
 )
-_IDENT_PART = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_LINE_BREAK = re.compile(rf"\r\n|[{_LINE_TERMINATORS}]")
+_STRING_CHUNK = {
+    quote: re.compile(rf"[^{quote}\\{_LINE_TERMINATORS}]*") for quote in "'\""
+}
+_HEX = re.compile(r"[0-9a-fA-F]+")
+#: A regex literal: escapes may cover any character (a line terminator
+#: included), and a ``/`` inside a character class does not end it.
+_REGEX = re.compile(
+    rf"/(?:[^\\/\[{_LINE_TERMINATORS}]|\\[\s\S]"
+    rf"|\[(?:[^\\\]{_LINE_TERMINATORS}]|\\[\s\S])*\])*/[A-Za-z0-9_$]*"
+)
 
 #: Tokens after which a ``/`` must be a division operator rather than the
 #: start of a regular expression literal: identifiers, literals, and the
@@ -50,236 +86,132 @@ _STRING_ESCAPES = {
 
 
 class Lexer:
-    """Tokenizes JavaScript source text.
-
-    Use :func:`tokenize` for the common whole-program case; the class is
-    exposed for incremental consumers and for tests that exercise individual
-    scanning routines.
-    """
+    """Tokenizes JavaScript source text (see :func:`tokenize`)."""
 
     def __init__(self, source: str, filename: str = "<addon>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 0
-        self._previous_significant: Token | None = None
 
     def tokenize(self) -> list[Token]:
         """Produce the full token stream, ending with a single EOF token."""
+        source = self.source
+        match = _TOKEN.match
+        line_breaks = _LINE_BREAK.finditer
+        Position = SourcePosition
+        KEYWORD, IDENTIFIER = TokenType.KEYWORD, TokenType.IDENTIFIER
+        PUNCTUATOR, NUMBER = TokenType.PUNCTUATOR, TokenType.NUMBER
+        STRING = TokenType.STRING
         tokens: list[Token] = []
+        append = tokens.append
+        end_of_input = len(source)
+        pos = line_start = 0
+        line = 1
+        regex_ok = True
         while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.type is TokenType.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-    # Scanning machinery
-
-    def _position(self) -> SourcePosition:
-        return SourcePosition(self.line, self.column, self.pos)
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self.pos + ahead
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            ch = self.source[self.pos]
-            self.pos += 1
-            if ch in _LINE_TERMINATORS:
-                # Treat \r\n as a single terminator for line counting.
-                if not (ch == "\r" and self._peek() == "\n"):
-                    self.line += 1
-                    self.column = 0
+            found = match(source, pos)
+            spans = found.regs
+            group = found.lastindex or 1
+            newline = False
+            gap_start, gap_end = spans[1]
+            if gap_start >= 0:
+                for brk in line_breaks(source, gap_start, gap_end):
+                    line += 1
+                    line_start = brk.end()
+                    newline = True
+            if group == 1:  # no token matched
+                start = pos = found.end()
             else:
-                self.column += 1
-
-    def _skip_whitespace_and_comments(self) -> bool:
-        """Skip to the next token start; return True if a newline was seen."""
-        saw_newline = False
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in _WHITESPACE:
-                self._advance()
-            elif ch in _LINE_TERMINATORS:
-                saw_newline = True
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() not in _LINE_TERMINATORS:
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                saw_newline |= self._skip_block_comment()
-            else:
-                break
-        return saw_newline
-
-    def _skip_block_comment(self) -> bool:
-        start = self._position()
-        self._advance(2)
-        saw_newline = False
-        while self.pos < len(self.source):
-            if self._peek() in _LINE_TERMINATORS:
-                saw_newline = True
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return saw_newline
-            self._advance()
-        raise LexError("unterminated block comment", start)
-
-    # ------------------------------------------------------------------
-    # Token production
-
-    def next_token(self) -> Token:
-        saw_newline = self._skip_whitespace_and_comments()
-        position = self._position()
-        if self.pos >= len(self.source):
-            return Token(TokenType.EOF, "", position, saw_newline)
-
-        ch = self._peek()
-        if ch in _IDENT_START:
-            token = self._scan_identifier(position, saw_newline)
-        elif ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            token = self._scan_number(position, saw_newline)
-        elif ch in ("'", '"'):
-            token = self._scan_string(position, saw_newline)
-        elif ch == "/" and self._regex_allowed():
-            token = self._scan_regex(position, saw_newline)
-        else:
-            token = self._scan_punctuator(position, saw_newline)
-
-        self._previous_significant = token
-        return token
-
-    def _regex_allowed(self) -> bool:
-        prev = self._previous_significant
-        if prev is None:
-            return True
-        if prev.type in (TokenType.IDENTIFIER, TokenType.NUMBER, TokenType.STRING,
-                         TokenType.REGEX):
-            return False
-        if prev.type is TokenType.KEYWORD:
-            return prev.value not in _REGEX_FORBIDDEN_KEYWORDS
-        if prev.type is TokenType.PUNCTUATOR:
-            return prev.value not in _REGEX_FORBIDDEN_PUNCTUATORS
-        return True
-
-    def _scan_identifier(self, position: SourcePosition, saw_newline: bool) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and self._peek() in _IDENT_PART:
-            self._advance()
-        text = self.source[start:self.pos]
-        token_type = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENTIFIER
-        return Token(token_type, text, position, saw_newline)
-
-    def _scan_number(self, position: SourcePosition, saw_newline: bool) -> Token:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if self._peek() not in _HEX_DIGITS:
-                raise LexError("malformed hex literal", position)
-            while self._peek() in _HEX_DIGITS:
-                self._advance()
-        else:
-            while self._peek() in _DIGITS:
-                self._advance()
-            if self._peek() == ".":
-                self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-            if self._peek() in ("e", "E"):
-                self._advance()
-                if self._peek() in ("+", "-"):
-                    self._advance()
-                if self._peek() not in _DIGITS:
-                    raise LexError("malformed exponent", position)
-                while self._peek() in _DIGITS:
-                    self._advance()
-        if self._peek() in _IDENT_START:
-            raise LexError("identifier starts immediately after number", position)
-        return Token(TokenType.NUMBER, self.source[start:self.pos], position, saw_newline)
-
-    def _scan_string(self, position: SourcePosition, saw_newline: bool) -> Token:
-        quote = self._peek()
-        self._advance()
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string literal", position)
-            ch = self._peek()
-            if ch == quote:
-                self._advance()
-                break
-            if ch in _LINE_TERMINATORS:
-                raise LexError("newline in string literal", position)
-            if ch == "\\":
-                self._advance()
-                parts.append(self._scan_escape(position))
-            else:
-                parts.append(ch)
-                self._advance()
-        return Token(TokenType.STRING, "".join(parts), position, saw_newline)
-
-    def _scan_escape(self, position: SourcePosition) -> str:
-        if self.pos >= len(self.source):
-            raise LexError("unterminated escape sequence", position)
-        ch = self._peek()
-        if ch in _LINE_TERMINATORS:
-            # Line continuation: contributes nothing to the string value.
-            self._advance()
-            return ""
-        self._advance()
-        if ch in _STRING_ESCAPES:
-            return _STRING_ESCAPES[ch]
-        if ch == "x":
-            return self._scan_hex_escape(position, 2)
-        if ch == "u":
-            return self._scan_hex_escape(position, 4)
-        # Per ES5, unknown escapes denote the character itself.
-        return ch
-
-    def _scan_hex_escape(self, position: SourcePosition, length: int) -> str:
-        digits = self.source[self.pos:self.pos + length]
-        if len(digits) < length or any(d not in _HEX_DIGITS for d in digits):
-            raise LexError("malformed hex escape in string", position)
-        self._advance(length)
-        return chr(int(digits, 16))
-
-    def _scan_regex(self, position: SourcePosition, saw_newline: bool) -> Token:
-        start = self.pos
-        self._advance()  # leading '/'
-        in_class = False
-        while True:
-            if self.pos >= len(self.source) or self._peek() in _LINE_TERMINATORS:
-                raise LexError("unterminated regular expression", position)
-            ch = self._peek()
-            if ch == "\\":
-                self._advance(2)
+                start, pos = spans[group]
+            position = Position(line, start - line_start, start)
+            text = source[start:pos]
+            if group == 5 and not (
+                text[0] == "/" and (regex_ok or source.startswith("/*", start))
+            ):
+                append(Token(PUNCTUATOR, text, position, newline))
+                regex_ok = text not in _REGEX_FORBIDDEN_PUNCTUATORS
                 continue
-            if ch == "[":
-                in_class = True
-            elif ch == "]":
-                in_class = False
-            elif ch == "/" and not in_class:
-                self._advance()
-                break
-            self._advance()
-        while self._peek() in _IDENT_PART:  # flags
-            self._advance()
-        return Token(TokenType.REGEX, self.source[start:self.pos], position, saw_newline)
+            if group == 2:
+                if text in KEYWORDS:
+                    append(Token(KEYWORD, text, position, newline))
+                    regex_ok = text not in _REGEX_FORBIDDEN_KEYWORDS
+                else:
+                    append(Token(IDENTIFIER, text, position, newline))
+                    regex_ok = False
+                continue
+            if group == 3:
+                if text[1:2] in ("x", "X"):
+                    if len(text) == 2:
+                        raise LexError("malformed hex literal", position)
+                elif text[-1] in "eE+-":
+                    raise LexError("malformed exponent", position)
+                if pos < end_of_input and source[pos] in _IDENT_START:
+                    raise LexError(
+                        "identifier starts immediately after number", position
+                    )
+                append(Token(NUMBER, text, position, newline))
+                regex_ok = False
+                continue
+            if group == 4:
+                append(Token(STRING, text[1:-1], position, newline))
+                regex_ok = False
+                continue
+            if group == 5:
+                # A ``/`` that opens a regex literal (a terminated block
+                # comment would have gone with the gap).
+                if source.startswith("/*", start):
+                    raise LexError("unterminated block comment", position)
+                literal = _REGEX.match(source, start)
+                if literal is None:
+                    raise LexError("unterminated regular expression", position)
+                pos = literal.end()
+                append(Token(TokenType.REGEX, literal.group(), position, newline))
+            elif start >= end_of_input:
+                append(Token(TokenType.EOF, "", position, newline))
+                return tokens
+            elif source[start] in "'\"":
+                value, pos = _scan_string(source, start, position)
+                append(Token(STRING, value, position, newline))
+            else:
+                raise LexError(f"unexpected character {source[start]!r}", position)
+            regex_ok = False
+            # A line continuation in a string, or an escaped terminator in
+            # a regex, moves the line on.
+            for brk in line_breaks(source, start, pos):
+                line += 1
+                line_start = brk.end()
 
-    def _scan_punctuator(self, position: SourcePosition, saw_newline: bool) -> Token:
-        for length in (4, 3, 2, 1):
-            candidate = self.source[self.pos:self.pos + length]
-            if candidate in punctuators_of_length(length):
-                self._advance(length)
-                return Token(TokenType.PUNCTUATOR, candidate, position, saw_newline)
-        raise LexError(f"unexpected character {self._peek()!r}", position)
+
+def _scan_string(source: str, start: int, position: SourcePosition) -> tuple[str, int]:
+    """Decode the string literal at ``start``; return it and its end."""
+    quote = source[start]
+    chunk = _STRING_CHUNK[quote].match
+    parts: list[str] = []
+    pos = start + 1
+    while True:
+        end = chunk(source, pos).end()
+        parts.append(source[pos:end])
+        if end >= len(source):
+            raise LexError("unterminated string literal", position)
+        if source[end] == quote:
+            return "".join(parts), end + 1
+        if source[end] != "\\":
+            raise LexError("newline in string literal", position)
+        if end + 1 >= len(source):
+            raise LexError("unterminated escape sequence", position)
+        escape = source[end + 1]
+        pos = end + 2
+        if escape in _LINE_TERMINATORS:
+            continue  # line continuation: contributes nothing to the value
+        if escape in ("x", "u"):
+            length = 2 if escape == "x" else 4
+            digits = source[pos:pos + length]
+            if len(digits) < length or not _HEX.fullmatch(digits):
+                raise LexError("malformed hex escape in string", position)
+            parts.append(chr(int(digits, 16)))
+            pos += length
+        else:
+            # Per ES5, unknown escapes denote the character itself.
+            parts.append(_STRING_ESCAPES.get(escape, escape))
 
 
 def tokenize(source: str, filename: str = "<addon>") -> list[Token]:

@@ -42,8 +42,7 @@ KEYWORDS = frozenset(
     }
 )
 
-#: All multi-character punctuators, longest first so the lexer can do
-#: maximal-munch matching by trying lengths 4, 3, 2, 1 in order.
+#: All punctuators. The lexer tries them longest first (maximal munch).
 PUNCTUATORS = [
     ">>>=",
     "===", "!==", ">>>", "<<=", ">>=",
@@ -52,18 +51,6 @@ PUNCTUATORS = [
     "{", "}", "(", ")", "[", "]", ";", ",", "<", ">", "+", "-", "*", "/",
     "%", "&", "|", "^", "!", "~", "?", ":", "=", ".",
 ]
-
-_PUNCTUATORS_BY_LENGTH: dict[int, frozenset[str]] = {}
-for _p in PUNCTUATORS:
-    _PUNCTUATORS_BY_LENGTH.setdefault(len(_p), set()).add(_p)  # type: ignore[arg-type]
-_PUNCTUATORS_BY_LENGTH = {
-    length: frozenset(values) for length, values in _PUNCTUATORS_BY_LENGTH.items()
-}
-
-
-def punctuators_of_length(length: int) -> frozenset[str]:
-    """Return the set of punctuators with exactly ``length`` characters."""
-    return _PUNCTUATORS_BY_LENGTH.get(length, frozenset())
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ hypothesis properties: verdict-preserving mutations are bit-identical,
 injected flows surface at the expected flow type).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from repro.corpusgen import (
     mutate_inject_flow,
     mutate_remove_flow,
 )
-from repro.corpusgen.generator import _draw_blueprint
+from repro.corpusgen.generator import Blueprint, _draw_blueprint
 
 pytestmark = pytest.mark.fleet
 
@@ -198,3 +199,45 @@ def test_update_mutations_cover_both_directions():
     mutations = {u.mutation for u in generate_updates(40, seed=0)}
     assert "inject-flow" in mutations  # widening must be represented
     assert mutations & {"rename", "dead-code", "reorder"}  # and preserving
+
+
+# ----------------------------------------------------------------------
+# Byte identity and linear-time padding.
+
+#: sha256 of ``repr`` over the generator's output, recorded before
+#: update-base padding became linear: the generator must keep drawing
+#: from the RNG in the same order, so every addon and update pair stays
+#: byte-identical.
+_OUTPUT_DIGESTS = {
+    ("updates", 0): "7f2a7e7165864680ed0d0cdb9423e48996649383955ce458a2d18eb4a845c159",
+    ("updates", 1): "81f38468d6e6982b5f363b80ecfc915b5de2edd9099ef0dfe719e46313b17312",
+    ("corpus", 0): "53a3ec61040f655b8aa13121e6ceeb21fa5ccae91734557c810f6add6869ab72",
+    ("corpus", 1): "66d07300eeab78c2b75e05d0641b5f0cc824e546f0072ab45c2409631401cd78",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(_OUTPUT_DIGESTS))
+def test_generated_output_is_byte_identical(kind, seed):
+    output = (
+        generate_updates(300, seed) if kind == "updates"
+        else generate_corpus(400, seed)
+    )
+    digest = hashlib.sha256(repr(output).encode("utf-8")).hexdigest()
+    assert digest == _OUTPUT_DIGESTS[kind, seed]
+
+
+def test_update_generation_renders_each_version_once(monkeypatch):
+    # Padding tracks the base's length as it grows instead of
+    # re-rendering it per block: one render for the old version and one
+    # for the new.
+    calls = 0
+    render = Blueprint.render
+
+    def counting_render(self):
+        nonlocal calls
+        calls += 1
+        return render(self)
+
+    monkeypatch.setattr(Blueprint, "render", counting_render)
+    updates = generate_updates(100, seed=0)
+    assert calls <= 2 * len(updates)

@@ -197,3 +197,50 @@ class TestPositions:
     def test_position_after_block_comment(self):
         tokens = tokenize("/* a\nb */ x")
         assert tokens[0].position.line == 2
+
+
+class TestUnicodeSeparators:
+    """U+2028/U+2029 terminate lines; NBSP and BOM are plain whitespace."""
+
+    @pytest.mark.parametrize("terminator", ["\u2028", "\u2029"])
+    def test_separator_ends_a_line(self, terminator):
+        tokens = tokenize(f"a{terminator}b")
+        assert tokens[1].preceded_by_newline
+        assert (tokens[1].position.line, tokens[1].position.column) == (2, 0)
+
+    def test_each_separator_counts_one_line(self):
+        tokens = tokenize("a\u2028\u2029\r\nb")
+        assert tokens[1].position.line == 4
+
+    def test_separator_ends_a_line_comment(self):
+        tokens = tokenize("a // c\u2029b")
+        assert [t.value for t in tokens[:2]] == ["a", "b"]
+        assert tokens[1].preceded_by_newline
+
+    def test_separator_in_block_comment_sets_flag(self):
+        tokens = tokenize("a /* x\u2028y */ b")
+        assert tokens[1].preceded_by_newline
+        assert tokens[1].position.line == 2
+
+    def test_raw_separator_in_string_raises(self):
+        with pytest.raises(LexError, match="newline in string literal"):
+            tokenize("'a\u2028b'")
+
+    def test_separator_line_continuation(self):
+        tokens = tokenize("'a\\\u2028b' c")
+        assert tokens[0].value == "ab"
+        assert (tokens[1].position.line, tokens[1].position.column) == (2, 3)
+        assert not tokens[1].preceded_by_newline
+
+    @pytest.mark.parametrize("blank", ["\xa0", "\ufeff", "\v", "\f"])
+    def test_blank_separates_tokens_on_one_line(self, blank):
+        tokens = tokenize(f"a{blank}b")
+        assert [t.value for t in tokens[:2]] == ["a", "b"]
+        assert not tokens[1].preceded_by_newline
+        assert (tokens[1].position.line, tokens[1].position.column) == (1, 2)
+
+    def test_leading_bom_is_skipped(self):
+        tokens = tokenize("\ufeffvar a;")
+        assert tokens[0].is_keyword("var")
+        assert (tokens[0].position.column, tokens[0].position.offset) == (1, 1)
+        assert not tokens[0].preceded_by_newline
