@@ -116,10 +116,6 @@ class VettingReport:
     #: The prefilter's full decision (site spans for ``vet --explain``),
     #: when the prefilter ran.
     prefilter_decision: object | None = None
-    #: The whole-program pre-analysis (``repro.preanalysis``): computed
-    #: property resolution, call graph, surface. ``None`` when disabled
-    #: (``--no-preanalysis``).
-    preanalysis: object | None = None
 
     @property
     def degraded(self) -> bool:
@@ -255,7 +251,6 @@ def vet(
     budget: Budget | None = None,
     recover: bool = False,
     prefilter: bool = False,
-    preanalysis: bool = True,
 ) -> VettingReport:
     """Run the full pipeline; optionally compare against a manual
     signature (the Table 2 methodology). The report carries per-phase
@@ -283,15 +278,11 @@ def vet(
     the trivially-empty signature without lowering or running the
     interpreter. Any disqualifier falls back to the full pipeline, so
     the result is bit-identical either way (proven addon-by-addon in
-    ``tests/lint/test_prefilter_soundness.py``).
-
-    ``preanalysis`` (on by default; ``--no-preanalysis`` in the CLI)
-    runs the flow-insensitive whole-program pre-analysis
-    (:mod:`repro.preanalysis`) between parsing and lowering: computed
-    property sites with provably-finite key sets stop disqualifying the
-    prefilter, the prefilter reuses its surface scan, and the report
-    gains the ``resolved_sites`` / ``residual_dynamic_sites`` /
-    ``callgraph_edges`` counters.
+    ``tests/lint/test_prefilter_soundness.py``). When computed property
+    sites alone would refuse the fast lane, the prefilter resolves their
+    keys (:mod:`repro.preanalysis`): sites with provably-finite key sets
+    count as named surface. A report with the prefilter on carries the
+    ``resolved_sites`` / ``residual_dynamic_sites`` counters.
     """
     from repro.lint.surface import decide_relevance
 
@@ -300,22 +291,13 @@ def vet(
     start = time.perf_counter()
     program_set = front_end.read(source, recover)
     degradations = list(program_set.degradations)
-    pre = None
-    if preanalysis:
-        from repro.preanalysis import preanalyze
-
-        pre = preanalyze(program_set.programs, degraded=bool(degradations))
     counters = Counters(program_set.counters)
-    if pre is not None:
-        counters.update(pre.counters)
     decision = None
     if prefilter:
         decision = decide_relevance(
-            program_set.programs,
-            resolved_spec,
-            degraded=bool(degradations),
-            surface=pre.surface if pre is not None else None,
+            program_set.programs, resolved_spec, degraded=bool(degradations)
         )
+        counters.update(decision.counters)
         if not decision.relevant:
             after_parse = time.perf_counter()
             detail = InferenceDetail(
@@ -339,7 +321,6 @@ def vet(
                 degradations=(),
                 prefiltered=True,
                 prefilter_decision=decision,
-                preanalysis=pre,
             )
     program = program_set.lower()
     result = analyze(
@@ -380,7 +361,6 @@ def vet(
         counters=counters,
         degradations=tuple(degradations),
         prefilter_decision=decision,
-        preanalysis=pre,
     )
 
 

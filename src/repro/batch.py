@@ -78,7 +78,12 @@ from repro.store import JsonStore
 #: v8: one vetting pipeline over a program set: dead-function pruning
 #: is gone (outcomes no longer carry ``pruned_nodes``), and bundle
 #: updates skip certification instead of attempting it.
-ENGINE_VERSION = 8
+#: v9: the pre-analysis switch is gone: the prefilter resolves computed
+#: keys itself, only when they alone would refuse it, and the call
+#: graph left the vet path (outcomes no longer carry
+#: ``callgraph_edges``; the resolution counters appear only with the
+#: prefilter on).
+ENGINE_VERSION = 9
 
 #: The fast lane's cost gate: updates whose new version is smaller than
 #: this (source characters) skip the change-surface certificate and go
@@ -120,11 +125,6 @@ class VetTask:
     #: without the interpreter (bit-identical results either way; see
     #: ``repro.lint.surface``). On by default in batch vetting.
     prefilter: bool = True
-    #: Run the whole-program pre-analysis (computed-property resolution,
-    #: call graph) between parsing and lowering. On by default;
-    #: signatures are bit-identical either way (the resolution only
-    #: *demotes* dynamic-property refusals — see ``repro.preanalysis``).
-    preanalysis: bool = True
     #: The approved previous version's source, for differential vetting.
     #: With both baseline fields set, the task is an *update*: the
     #: incremental fast lane may serve the baseline signature, and a
@@ -284,7 +284,6 @@ def cache_key(task: VetTask, spec: SecuritySpec | None) -> str:
             "max_steps": task.max_steps,
             "recover": task.recover,
             "prefilter": task.prefilter,
-            "preanalysis": task.preanalysis,
             "baseline": (
                 hashlib.sha256(
                     task.baseline_source.encode("utf-8")
@@ -536,7 +535,7 @@ def _execute_task(
             report = vet(
                 task.source, manual=manual, real_extras=extras,
                 spec=spec, k=task.k, budget=budget, recover=task.recover,
-                prefilter=task.prefilter, preanalysis=task.preanalysis,
+                prefilter=task.prefilter,
             )
             samples.append(report.phase_times)
             if report.degraded:
@@ -958,6 +957,20 @@ def vet_corpus(
     )
 
 
+def hits_without_resolution(outcomes: list[VetOutcome]) -> int:
+    """How many of the prefilter-on ``outcomes`` a plain surface scan,
+    without computed-key resolution, would also have prefiltered.
+
+    The prefilter resolves keys only when computed sites alone refuse
+    the fast lane. So an outcome prefiltered with no resolved site was
+    skipped on the plain scan, and one prefiltered with resolved sites
+    would have been refused on dynamic properties without them."""
+    return sum(
+        1 for o in outcomes
+        if o.prefiltered and not o.counters.get("resolved_sites", 0)
+    )
+
+
 def summarize(outcomes: list[VetOutcome]) -> dict:
     """The robustness breakdown of a batch: per-kind failure and
     degradation counts, plus the headline totals.
@@ -1008,9 +1021,6 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         "residual_dynamic_sites": sum(
             o.counters.get("residual_dynamic_sites", 0) for o in outcomes
         ),
-        "callgraph_edges": sum(
-            o.counters.get("callgraph_edges", 0) for o in outcomes
-        ),
     }
     return {
         "total": len(outcomes),
@@ -1022,8 +1032,8 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         # Fast-lane certification economics: how many updates attempted
         # the change-surface certificate vs. skipped it on the cost gate.
         "certifications": certifications,
-        # Pre-analysis aggregates: computed sites resolved vs. residual,
-        # call-graph edge count.
+        # The prefilter's computed-key resolution: sites resolved vs.
+        # residual.
         "preanalysis": preanalysis,
         "cached": sum(1 for o in outcomes if o.cached),
         "failures": dict(sorted(failures.items())),

@@ -95,14 +95,11 @@ def _cmd_vet(arguments: argparse.Namespace) -> int:
     report = vet(
         source, manual=manual, spec=_resolve_spec(arguments.spec, source),
         k=arguments.k, budget=budget, recover=arguments.recover,
-        prefilter=arguments.prefilter, preanalysis=arguments.preanalysis,
+        prefilter=arguments.prefilter,
     )
     print(report.render())
 
     if arguments.explain:
-        if report.preanalysis is not None:
-            print()
-            print(report.preanalysis.render())
         if report.prefilter_decision is not None:
             print()
             print(report.prefilter_decision.render())
@@ -407,12 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prefilter", action="store_true",
         help="sound relevance prefilter (union surface across all "
              "component files)",
-    )
-    vet.add_argument(
-        "--no-preanalysis", dest="preanalysis", action="store_false",
-        help="skip the whole-program pre-analysis (computed-property "
-             "resolution, call graph); signatures "
-             "are bit-identical either way",
     )
     vet.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",

@@ -19,8 +19,8 @@ and — the reason the corpus is generated rather than scraped — a
 carries its expected signature and every update pair its expected
 diffvet classification, so the throughput numbers are simultaneously a
 soundness sweep. Results land in the ``fleet`` section of
-``BENCH_corpus.json`` (schema v8), merged without disturbing the other
-sections.
+``BENCH_corpus.json`` (the bench report schema), merged without
+disturbing the other sections.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.batch import VetTask, summarize, vet_many
+from repro.batch import (
+    VetTask,
+    hits_without_resolution,
+    summarize,
+    vet_many,
+)
 from repro.corpusgen.generator import (
     GeneratedAddon,
     GeneratedUpdate,
@@ -105,26 +110,6 @@ def _sweep_throughput(
     }
 
 
-def _prefiltered_without_resolution(addon: GeneratedAddon) -> bool:
-    """Would the prefilter skip this addon with *no* computed-property
-    resolution? A cheap parse + surface scan (no interpreter, no
-    pre-analysis) — the control for the ``resolution_gain`` number."""
-    from repro.api import select_front_end
-    from repro.lint.surface import decide_relevance
-
-    try:
-        front_end = select_front_end(addon.source)
-        program_set = front_end.read(addon.source, False)
-        decision = decide_relevance(
-            program_set.programs,
-            front_end.default_spec(),
-            degraded=bool(program_set.degradations),
-        )
-    except Exception:
-        return False
-    return not decision.relevant
-
-
 def _sweep_prefilter(
     corpus: list[GeneratedAddon], workers: int | None,
     on_outcomes, on_wall: float, mismatches: list[dict],
@@ -138,16 +123,15 @@ def _sweep_prefilter(
     wall_off = time.perf_counter() - start
     _check_signatures(corpus, off, mismatches, "prefilter-off")
     hits = sum(1 for outcome in on_outcomes if outcome.prefiltered)
-    hits_plain = sum(
-        1 for addon in corpus if _prefiltered_without_resolution(addon)
-    )
+    hits_plain = hits_without_resolution(on_outcomes)
     return {
         "addons": len(corpus),
         "hits": hits,
         "hit_rate": round(hits / len(corpus), 4) if corpus else None,
-        # The same decision without the pre-analysis resolver: computed
-        # sites all read as dynamic, so addons whose only dynamism is a
-        # provably-constant key fall out of the fast lane.
+        # The same decision without computed-key resolution (derived
+        # from the on arm): computed sites all read as dynamic, so
+        # addons whose only dynamism is a provably-constant key fall
+        # out of the fast lane.
         "hits_without_resolution": hits_plain,
         "hit_rate_without_resolution": (
             round(hits_plain / len(corpus), 4) if corpus else None
@@ -352,7 +336,7 @@ def run_fleet(
     ``update_count`` defaults to ``max(count // 5, 10)`` version pairs.
     With ``output`` set, the section is merged into the bench report at
     that path (creating a minimal ``fleet``-only report when no bench
-    has run yet) under schema v8."""
+    has run yet) under the bench report schema."""
     corpus = generate_corpus(count, seed, bundle_fraction=bundle_fraction)
     updates = generate_updates(
         update_count if update_count is not None else max(count // 5, 10),
@@ -405,7 +389,7 @@ def run_fleet(
 
 def merge_fleet_section(path: Path, section: dict) -> dict:
     """Merge the ``fleet`` section into the bench report at ``path``,
-    preserving every other section, and stamp schema v8."""
+    preserving every other section, and stamp the bench report schema."""
     from repro.evaluation.bench import SCHEMA
     from repro.store import atomic_write_json
 

@@ -21,9 +21,14 @@ import time
 from pathlib import Path
 
 from repro.addons import CORPUS
-from repro.batch import summarize, vet_corpus, vet_many
+from repro.batch import (
+    hits_without_resolution,
+    summarize,
+    vet_corpus,
+    vet_many,
+)
 
-SCHEMA = "addon-sig/bench-corpus/v8"
+SCHEMA = "addon-sig/bench-corpus/v9"
 
 
 def _hit_rate(hits: int, total: int) -> float | None:
@@ -44,14 +49,16 @@ VERSIONS_DIR = "examples/addons/versions"
 EXTENSIONS_DIR = "examples/extensions"
 
 
-def _bench_prefilter(examples_dir: str | Path | None) -> dict | None:
+def _bench_prefilter(examples_dir: str | Path | None) -> tuple[dict, dict] | None:
     """Measure the relevance prefilter on the examples corpus.
 
     Vets every ``*.js`` under ``examples_dir`` twice — prefilter on,
     prefilter off — in-process, uncached, with ``recover=True`` (the
     corpus deliberately contains an unparseable legacy addon). Returns
-    the hit rate, both wall clocks, and whether the two sweeps produced
-    bit-identical signatures (they must: the prefilter is sound)."""
+    the ``prefilter`` section — the hit rate, both wall clocks, and
+    whether the two sweeps produced bit-identical signatures (they
+    must: the prefilter is sound) — and the ``preanalysis`` section
+    derived from the prefilter-on arm (:func:`_bench_preanalysis`)."""
     from repro.batch import VetTask
 
     if examples_dir is None:
@@ -64,11 +71,12 @@ def _bench_prefilter(examples_dir: str | Path | None) -> dict | None:
         # The directory exists but holds nothing vettable (empty or
         # fully filtered): a zero-count section with a null rate — the
         # old ``hits / len(files)`` was a ZeroDivisionError here.
-        return {
+        section = {
             "corpus": str(directory), "addons": 0, "hits": 0,
             "hit_rate": None, "wall_on_s": 0.0, "wall_off_s": 0.0,
             "wall_delta_s": 0.0, "identical_signatures": True,
         }
+        return section, _bench_preanalysis(section, [])
 
     def tasks(prefilter: bool) -> list[VetTask]:
         return [
@@ -88,7 +96,7 @@ def _bench_prefilter(examples_dir: str | Path | None) -> dict | None:
     without_prefilter = vet_many(tasks(False), use_cache=False, workers=1)
     wall_off = time.perf_counter() - start
     hits = sum(1 for outcome in with_prefilter if outcome.prefiltered)
-    return {
+    section = {
         "corpus": str(directory),
         "addons": len(files),
         "hits": hits,
@@ -101,85 +109,37 @@ def _bench_prefilter(examples_dir: str | Path | None) -> dict | None:
             for on, off in zip(with_prefilter, without_prefilter)
         ),
     }
+    return section, _bench_preanalysis(section, with_prefilter)
 
 
-def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
-    """Measure the whole-program pre-analysis on the examples corpus.
-
-    Vets every ``*.js`` under ``examples_dir`` twice — pre-analysis on,
-    pre-analysis off — with the prefilter enabled in both arms,
-    in-process, uncached, ``recover=True``. Records the computed-site
-    resolution rate, the prefilter hit rate in each arm (the resolver's
-    contribution is the difference), both wall clocks, and whether the
-    arms produced bit-identical signatures (they must: resolution is
-    sound)."""
-    from repro.batch import VetTask
-
-    if examples_dir is None:
-        return None
-    directory = Path(examples_dir)
-    if not directory.is_dir():
-        return None
-    files = sorted(directory.glob("*.js"))
-    if not files:
-        return {
-            "corpus": str(directory), "addons": 0, "resolved_sites": 0,
-            "residual_dynamic_sites": 0, "resolution_rate": None,
-            "callgraph_edges": 0, "hits_with_preanalysis": 0,
-            "hit_rate_with_preanalysis": None, "hits_without_preanalysis": 0,
-            "hit_rate_without_preanalysis": None, "wall_on_s": 0.0,
-            "wall_off_s": 0.0, "wall_delta_s": 0.0,
-            "identical_signatures": True,
-        }
-
-    def tasks(preanalysis: bool) -> list[VetTask]:
-        return [
-            VetTask(
-                name=path.name,
-                source=path.read_text(encoding="utf-8"),
-                recover=True,
-                prefilter=True,
-                preanalysis=preanalysis,
-            )
-            for path in files
-        ]
-
-    start = time.perf_counter()
-    with_pre = vet_many(tasks(True), use_cache=False, workers=1)
-    wall_on = time.perf_counter() - start
-    start = time.perf_counter()
-    without_pre = vet_many(tasks(False), use_cache=False, workers=1)
-    wall_off = time.perf_counter() - start
-
-    resolved = sum(o.counters.get("resolved_sites", 0) for o in with_pre)
+def _bench_preanalysis(prefilter: dict, outcomes: list) -> dict:
+    """The prefilter's computed-key resolution, read off the
+    prefilter-on arm ``outcomes`` of the ``prefilter`` section: how many
+    computed sites resolved, and the hit rate with and without them.
+    It runs no sweep of its own; ``identical_signatures`` is the
+    section's resolving prefilter against the full analysis."""
+    resolved = sum(o.counters.get("resolved_sites", 0) for o in outcomes)
     residual = sum(
-        o.counters.get("residual_dynamic_sites", 0) for o in with_pre
+        o.counters.get("residual_dynamic_sites", 0) for o in outcomes
     )
-    edges = sum(o.counters.get("callgraph_edges", 0) for o in with_pre)
-    hits_on = sum(1 for o in with_pre if o.prefiltered)
-    hits_off = sum(1 for o in without_pre if o.prefiltered)
+    hits_plain = hits_without_resolution(outcomes)
     return {
-        "corpus": str(directory),
-        "addons": len(files),
+        "corpus": prefilter["corpus"],
+        "addons": prefilter["addons"],
         "resolved_sites": resolved,
         "residual_dynamic_sites": residual,
-        # Of all computed property sites, how many the constant-string
-        # lattice pinned down to named accesses.
+        # Of all computed property sites resolution looked at, how many
+        # the constant-string lattice pinned down to named accesses.
         "resolution_rate": _hit_rate(resolved, resolved + residual),
-        "callgraph_edges": edges,
-        # The prefilter's hit rate with and without the resolver — the
-        # difference is what the pre-analysis buys the fast lane.
-        "hits_with_preanalysis": hits_on,
-        "hit_rate_with_preanalysis": _hit_rate(hits_on, len(files)),
-        "hits_without_preanalysis": hits_off,
-        "hit_rate_without_preanalysis": _hit_rate(hits_off, len(files)),
-        "wall_on_s": round(wall_on, 6),
-        "wall_off_s": round(wall_off, 6),
-        "wall_delta_s": round(wall_off - wall_on, 6),
-        "identical_signatures": all(
-            on.signature_text == off.signature_text
-            for on, off in zip(with_pre, without_pre)
+        # The prefilter's hit rate with and without resolution — the
+        # difference is what resolution buys the fast lane.
+        "hits_with_resolution": prefilter["hits"],
+        "hit_rate_with_resolution": prefilter["hit_rate"],
+        "hits_without_resolution": hits_plain,
+        "hit_rate_without_resolution": _hit_rate(
+            hits_plain, prefilter["addons"]
         ),
+        "identical_signatures": prefilter["identical_signatures"],
     }
 
 
@@ -400,13 +360,15 @@ def run_bench(
     a generated corpus. ``run_bench`` preserves an existing ``fleet``
     section in ``output`` when rewriting the other sections.
 
-    Since v8 the report carries a ``preanalysis`` section: the examples
-    corpus vetted with the whole-program pre-analysis on and off —
-    computed-site resolution rate, call-graph edge count, the prefilter hit rate in each arm (the resolver's
-    contribution is the difference), wall delta, and the bit-identical
-    -signatures soundness check — and the ``fleet`` prefilter section
-    gains the matching ``hits_without_resolution`` control and
-    ``resolution_gain``.
+    Since v8 the report carries a ``preanalysis`` section, and the
+    ``fleet`` prefilter section the matching ``hits_without_resolution``
+    control and ``resolution_gain``.
+
+    Since v9 the ``preanalysis`` section runs no sweep of its own: it is
+    read off the ``prefilter`` section's prefilter-on arm — resolved and
+    residual computed sites, the resolution rate, and the prefilter hit
+    rate with and without resolution — and carries no call-graph edge
+    count or wall clocks.
 
     ``corpus`` restricts the sweep to the given addon specs (default:
     the full benchmark corpus)."""
@@ -450,6 +412,8 @@ def run_bench(
             entry["failure"] = outcome.failure
         addons.append(entry)
 
+    examples = _bench_prefilter(examples_dir)
+    prefilter, preanalysis = examples if examples is not None else (None, None)
     report = {
         "schema": SCHEMA,
         "protocol": {
@@ -472,10 +436,10 @@ def run_bench(
         # The per-kind failure/degradation breakdown: the robustness
         # trajectory tracked alongside the perf trajectory.
         "robustness": summarize(outcomes),
-        # The relevance prefilter measured on the examples corpus.
-        "prefilter": _bench_prefilter(examples_dir),
-        # The whole-program pre-analysis measured on the same corpus.
-        "preanalysis": _bench_preanalysis(examples_dir),
+        # The relevance prefilter measured on the examples corpus...
+        "prefilter": prefilter,
+        # ...and its computed-key resolution, from the same sweep.
+        "preanalysis": preanalysis,
         # The incremental fast lane measured on the versioned pairs.
         "incremental": _bench_incremental(versions_dir),
         # The multi-file WebExtensions pipeline on its mini-corpus.
@@ -548,8 +512,8 @@ def render_bench(report: dict) -> str:
             f"  preanalysis ({preanalysis['corpus']}):"
             f" {preanalysis['resolved_sites']} computed site(s) resolved"
             f" (rate {rate(preanalysis['resolution_rate'])}),"
-            f" prefilter {rate(preanalysis['hit_rate_without_preanalysis'])}"
-            f" -> {rate(preanalysis['hit_rate_with_preanalysis'])}"
+            f" prefilter {rate(preanalysis['hit_rate_without_resolution'])}"
+            f" -> {rate(preanalysis['hit_rate_with_resolution'])}"
         )
     incremental = report.get("incremental")
     if incremental:

@@ -196,25 +196,20 @@ def lint_source(
 def file_surface(source: str) -> dict | None:
     """The per-file syntactic-surface summary for the JSON report.
 
-    Runs the same resolution the vetting pre-analysis would (a lint
-    file is its own whole program), so the section shows the *residual*
-    dynamic sites — the ones that actually disqualify the prefilter —
-    next to the count of computed sites resolution bounded. ``None``
-    when the file cannot be tokenized (the ``R000`` finding covers it).
+    Builds the surface the prefilter decides on (a lint file is its own
+    whole program), so the section shows the *residual* dynamic sites —
+    the ones that actually disqualify the prefilter — next to the count
+    of computed sites resolution bounded. ``None`` when the file cannot
+    be tokenized (the ``R000`` finding covers it).
     """
-    from repro.lint.surface import addon_surface
-    from repro.preanalysis import resolve_computed_sites
+    from repro.lint.surface import resolved_surface
 
     try:
         tokens = tokenize(source)
     except FrontendError:
         return None
     program, skipped = Parser(tokens, "<addon>").parse_program_with_recovery()
-    plain = addon_surface(program)
-    resolution = resolve_computed_sites(
-        (program,), trusted=not plain.dynamic_code and not skipped
-    )
-    surface = addon_surface(program, resolution=resolution)
+    surface = resolved_surface([program], degraded=bool(skipped))
     return {
         "dynamic_code": surface.dynamic_code,
         "dynamic_code_sites": [

@@ -29,21 +29,23 @@ therefore never fires on an addon whose full analysis could emit an
 entry — tested addon-by-addon in
 ``tests/lint/test_prefilter_soundness.py``.
 
-Since the pre-analysis PR, the surface also records *where* each
-disqualifier lives (per-site spans, not just booleans), and the scan
-accepts the resolver's verdicts (:class:`repro.preanalysis.Resolution`):
-a computed site whose key provably ranges over a finite string set is
-demoted from ``dynamic_properties`` to ordinary named surface — its
-resolved names join ``Surface.names``, and only the *residual* sites
-still disqualify. Resolution is sound only whole-program (the solved
-environment must have seen every assignment), so fragment consumers
-(the diffvet change-surface certificate) call the scan without one.
+The surface also records *where* each disqualifier lives (per-site
+spans, not just booleans). When computed sites are the only thing
+keeping an addon out of the fast lane, the prefilter asks the
+constant-key resolver (:func:`repro.preanalysis.resolve_computed_sites`)
+for their verdicts (:func:`resolved_surface`): a computed site whose
+key provably ranges over a finite string set is demoted from
+``dynamic_properties`` to ordinary named surface — its resolved names
+join ``Surface.names``, and only the *residual* sites still disqualify.
+Resolution is sound only whole-program (the solved environment must
+have seen every assignment), so fragment consumers (the diffvet
+change-surface certificate) call the plain scan.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.js import ast as js_ast
@@ -89,11 +91,9 @@ class Surface:
     resolved_sites: int = 0
 
 
-def addon_surface(
-    program: js_ast.Node, resolution: "Resolution | None" = None
-) -> Surface:
+def addon_surface(program: js_ast.Node) -> Surface:
     """Collect the addon's syntactic surface in one AST walk."""
-    return nodes_surface([program], resolution=resolution)
+    return nodes_surface([program])
 
 
 def nodes_surface(
@@ -112,7 +112,7 @@ def nodes_surface(
     ``resolution`` (whole-program callers only) demotes computed sites
     the resolver proved finite: their resolved names join the surface
     instead of tripping ``dynamic_properties``. It is keyed by node
-    identity, so it must come from a pre-analysis of these same AST
+    identity, so it must come from a resolution of these same AST
     objects.
     """
     names: set[str] = set()
@@ -177,6 +177,39 @@ def nodes_surface(
 def _walk_all(roots: Iterable[js_ast.Node]):
     for root in roots:
         yield from root.walk()
+
+
+def resolved_surface(
+    programs: Iterable[js_ast.Program], *, degraded: bool = False
+) -> Surface:
+    """The whole-program surface of a program set, with computed keys
+    resolved where that can change a prefilter decision.
+
+    The plain scan runs once. Resolution runs only when its verdicts can
+    matter: the input is not ``degraded`` (a skipped statement may hold
+    an assignment the solver never saw), has no dynamic code (``eval``
+    could assign any name), and the scan found unresolved computed
+    sites. Its resolved names are folded into that same surface; only
+    the residual sites stay dynamic. Equal to ``nodes_surface(programs,
+    resolution=resolve_computed_sites(programs, trusted=...))`` — the
+    eager form, pinned in ``tests/preanalysis/test_surface.py``.
+    """
+    programs = tuple(programs)
+    surface = nodes_surface(programs)
+    if degraded or surface.dynamic_code or not surface.dynamic_properties:
+        return surface
+    # Looked up at call time so a tracer wrapping the module attribute
+    # sees the call.
+    from repro.preanalysis import pipeline
+
+    resolution = pipeline.resolve_computed_sites(programs, trusted=True)
+    return replace(
+        surface,
+        names=surface.names.union(*resolution.resolved.values()),
+        dynamic_properties=bool(resolution.residual_spans),
+        dynamic_property_sites=resolution.residual_spans,
+        resolved_sites=resolution.resolved_sites,
+    )
 
 
 def _tag_names(tag: str) -> set[str]:
@@ -245,6 +278,14 @@ class PrefilterDecision:
     #: Computed sites resolution *did* bound (demoted to named surface).
     resolved_sites: int = 0
 
+    @property
+    def counters(self) -> dict[str, int]:
+        """The resolution counters a vet with the prefilter reports."""
+        return {
+            "resolved_sites": self.resolved_sites,
+            "residual_dynamic_sites": len(self.dynamic_property_sites),
+        }
+
     def render(self) -> str:
         if not self.relevant:
             suffix = (
@@ -279,7 +320,6 @@ def decide_relevance(
     spec: SecuritySpec,
     *,
     degraded: bool = False,
-    surface: Surface | None = None,
 ) -> PrefilterDecision:
     """The prefilter decision for one parsed program set: a single file
     or every component file of an extension bundle (``repro.webext``).
@@ -295,18 +335,15 @@ def decide_relevance(
     argument about them is sound and the full (widening) pipeline must
     run.
 
-    ``surface``, when given, must be the surface of these same programs
-    — the pre-analysis hands over its own (:attr:`repro.preanalysis
-    .Preanalysis.surface`), where resolved computed sites count as named
-    surface instead of disqualifying dynamism (sound because the
-    resolver's name sets over-approximate the machine's key coercion —
-    DESIGN.md §5j). Without it, the programs are scanned here, with every
-    computed site dynamic.
+    The set is scanned once (:func:`resolved_surface`); computed sites
+    are resolved only when they alone would refuse the fast lane, and
+    resolved sites count as named surface instead of disqualifying
+    dynamism (sound because the resolver's name sets over-approximate
+    the machine's key coercion — DESIGN.md §5j).
     """
     if degraded:
         return PrefilterDecision(relevant=True, reason="degraded-input")
-    if surface is None:
-        surface = nodes_surface(programs)
+    surface = resolved_surface(programs)
     if surface.dynamic_code:
         return PrefilterDecision(
             relevant=True,

@@ -1,17 +1,17 @@
-"""Flow-insensitive whole-program pre-analysis.
+"""Flow-insensitive whole-program analyses over parsed programs.
 
-Cheap passes that run between parsing and lowering, in the spirit of
-JSAI's specialization pre-passes:
+Cheap passes in the spirit of JSAI's specialization pre-passes, each
+run only by the consumer that needs it — none sits on every vet:
 
 - **computed-property resolution** — a constant-string lattice over
   :mod:`repro.domains.stringset` resolves ``obj[k]`` sites to finite
-  name sets where provable, so the relevance prefilter only refuses on
-  the truly dynamic residue;
+  name sets where provable. The relevance prefilter
+  (:func:`repro.lint.surface.decide_relevance`) calls it only when
+  computed sites alone would refuse the fast lane, so it refuses only
+  on the truly dynamic residue;
 - **points-to / call graph** — Andersen-style name-binding constraints
-  give a callee set per call site and an entry-reachable function set
-  (lint rules CG001/CG002, counters);
-- the program set's **surface**, scanned once and handed to the
-  prefilter with the resolution folded in.
+  give a callee set per call site and an entry-reachable function set,
+  for the lint rules CG001/CG002 only.
 
 See DESIGN.md §5j for the constraint rules and the soundness argument.
 """
@@ -28,12 +28,7 @@ from repro.preanalysis.constants import (
     key_string,
     solve_environment,
 )
-from repro.preanalysis.pipeline import (
-    Preanalysis,
-    Resolution,
-    preanalyze,
-    resolve_computed_sites,
-)
+from repro.preanalysis.pipeline import Resolution, resolve_computed_sites
 
 __all__ = [
     "KEY_BOTTOM",
@@ -44,13 +39,11 @@ __all__ = [
     "ConstantStringEnv",
     "FunctionInfo",
     "KeyValue",
-    "Preanalysis",
     "Resolution",
     "build_callgraph",
     "environment_global_names",
     "key_plus",
     "key_string",
-    "preanalyze",
     "resolve_computed_sites",
     "solve_environment",
 ]

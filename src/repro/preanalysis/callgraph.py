@@ -19,10 +19,10 @@ which is exactly a reference from reachable code. A *declaration* whose
 name is never mentioned in reachable code is therefore invokable by
 nothing — the basis for the CG001 lint rule.
 
-The graph is advisory for lint and counters; no pass rewrites the
-program from it. The interpreter only enters functions that are
-called, so an unreachable declaration costs lowering and one closure
-allocation, never fixpoint work.
+The graph serves the lint rules CG001/CG002 only; no vet builds it and
+no pass rewrites the program from it. The interpreter only enters
+functions that are called, so an unreachable declaration costs lowering
+and one closure allocation, never fixpoint work.
 """
 
 from __future__ import annotations

@@ -1,20 +1,13 @@
-"""The pre-analysis orchestrator: scan, resolve, graph, count.
+"""Computed-property resolution for the relevance prefilter.
 
-``preanalyze`` is the single entry the vetting pipeline calls between
-parsing and lowering. It runs its passes in their dependency order:
-
-1. the **surface scan** (:func:`repro.lint.surface.nodes_surface`) —
-   whether the program set builds code from strings, which decides
-   whether resolution can be trusted;
-2. computed-property **resolution** (:mod:`repro.preanalysis.constants`)
-   — each ``obj[k]`` site either resolves to a finite name set or stays
-   a *residual dynamic site*;
-3. the **call graph** (:mod:`repro.preanalysis.callgraph`) — advisory:
-   lint rules and counters, never signatures.
-
-The scan's surface, with the resolved names folded in and only the
-residual sites left dynamic, goes to the relevance prefilter, so a vet
-walks the program set for its surface once.
+:func:`resolve_computed_sites` classifies each ``obj[k]`` site with a
+non-literal key: it either resolves to a finite name set under the
+constant-string lattice (:mod:`repro.preanalysis.constants`) or stays a
+*residual dynamic site*. The prefilter
+(:func:`repro.lint.surface.resolved_surface`) calls it only when its
+plain surface scan refuses on computed sites alone — the one case where
+a verdict can change a decision — and folds the resolved names into
+that scan's surface.
 
 Resolution is *whole-program only*: the solved environment assumes it
 has seen every assignment to every name, which holds for a full parse
@@ -25,18 +18,12 @@ surface scan.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
 from repro.js import ast as js_ast
 from repro.js.errors import Span
 from repro.lint.rules import static_property_name
-from repro.preanalysis.callgraph import CallGraph, build_callgraph
 from repro.preanalysis.constants import solve_environment
-
-if TYPE_CHECKING:
-    from repro.lint.surface import Surface
 
 
 @dataclass
@@ -44,7 +31,7 @@ class Resolution:
     """Per-site outcome of computed-property resolution.
 
     ``resolved`` is keyed by ``id()`` of the ``MemberExpression`` node —
-    valid only against the exact AST objects that were preanalyzed (the
+    valid only against the exact AST objects that were resolved (the
     surface scan walks those same objects).
     """
 
@@ -59,34 +46,6 @@ class Resolution:
     @property
     def residual_sites(self) -> int:
         return len(self.residual_spans)
-
-
-@dataclass
-class Preanalysis:
-    """Everything the pre-analysis learned about one program set."""
-
-    resolution: Resolution
-    callgraph: CallGraph
-    #: The program set's surface with resolution applied: resolved
-    #: names are named surface, residual sites stay dynamic. Equal to
-    #: ``nodes_surface(programs, resolution)``, from a single scan.
-    surface: Surface
-
-    @property
-    def counters(self) -> dict[str, int]:
-        return {
-            "resolved_sites": self.resolution.resolved_sites,
-            "residual_dynamic_sites": self.resolution.residual_sites,
-            "callgraph_edges": self.callgraph.edges,
-        }
-
-    def render(self) -> str:
-        return (
-            "preanalysis: "
-            f"{self.resolution.resolved_sites} computed site(s) resolved, "
-            f"{self.resolution.residual_sites} residual dynamic, "
-            f"{self.callgraph.edges} call edge(s)"
-        )
 
 
 def resolve_computed_sites(
@@ -121,27 +80,4 @@ def resolve_computed_sites(
         resolved=resolved,
         resolved_spans=tuple(resolved_spans),
         residual_spans=tuple(residual_spans),
-    )
-
-
-def preanalyze(
-    programs: Iterable[js_ast.Program], *, degraded: bool = False
-) -> Preanalysis:
-    """Run the whole pre-analysis over a parsed program set."""
-    from repro.lint.surface import nodes_surface
-
-    programs = tuple(programs)
-    surface = nodes_surface(programs)
-    trusted = not degraded and not surface.dynamic_code
-    resolution = resolve_computed_sites(programs, trusted=trusted)
-    return Preanalysis(
-        resolution=resolution,
-        callgraph=build_callgraph(programs),
-        surface=replace(
-            surface,
-            names=surface.names.union(*resolution.resolved.values()),
-            dynamic_properties=bool(resolution.residual_spans),
-            dynamic_property_sites=resolution.residual_spans,
-            resolved_sites=len(resolution.resolved_spans),
-        ),
     )

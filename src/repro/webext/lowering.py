@@ -50,8 +50,8 @@ from repro.webext.loader import ExtensionBundle
 class ParsedExtension:
     """All components of a bundle parsed, before lowering.
 
-    Splitting parse from lowering lets the pre-analysis and the
-    prefilter run over the parsed file ASTs, and a prefiltered bundle
+    Splitting parse from lowering lets the prefilter (and its key
+    resolution) run over the parsed file ASTs, and a prefiltered bundle
     skip lowering altogether.
     """
 

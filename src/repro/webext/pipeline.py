@@ -10,9 +10,9 @@ applied *before* salvage widening (a degraded run's ⊤ entries must stay
 run: ``components``, ``channels`` (distinct channels any loop
 dispatched), and ``sender_guards``.
 
-The pre-analysis and the prefilter see every parsed component file at
-once: resolution is whole-bundle (a content script may hold the only
-write to a key a background script reads).
+The prefilter sees every parsed component file at once, so its key
+resolution is whole-bundle (a content script may hold the only write to
+a key a background script reads).
 """
 
 from __future__ import annotations

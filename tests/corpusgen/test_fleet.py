@@ -61,6 +61,59 @@ class TestFleetRun:
         assert "SOUND" in rendered
 
 
+def _plain_scan_hits(corpus) -> int:
+    """Test-side control: how many addons a prefilter without
+    computed-key resolution skips (plain surface scan, every computed
+    site dynamic)."""
+    from repro.api import select_front_end
+    from repro.lint.surface import nodes_surface, spec_surface
+
+    hits = 0
+    for addon in corpus:
+        front_end = select_front_end(addon.source)
+        program_set = front_end.read(addon.source, False)
+        surface = nodes_surface(program_set.programs)
+        if not (
+            program_set.degradations
+            or surface.dynamic_code
+            or surface.dynamic_properties
+            or surface.names & spec_surface(front_end.default_spec())
+        ):
+            hits += 1
+    return hits
+
+
+class TestResolutionControl:
+    """``hits_without_resolution`` is derived from the prefilter-on
+    outcomes instead of re-scanning; it must equal a real plain scan."""
+
+    def test_derived_count_equals_a_plain_scan(self):
+        from repro.batch import VetTask, hits_without_resolution, vet_many
+        from repro.corpusgen import generate_corpus
+
+        corpus = generate_corpus(80, seed=0)
+        outcomes = vet_many(
+            [VetTask(name=a.name, source=a.source) for a in corpus],
+            workers=1, use_cache=False,
+        )
+        hits = sum(1 for outcome in outcomes if outcome.prefiltered)
+        derived = hits_without_resolution(outcomes)
+        assert derived == _plain_scan_hits(corpus)
+        assert hits > derived  # resolution lets some addons through
+
+    def test_fleet_section_uses_the_derived_count(self, section):
+        from repro.corpusgen import generate_corpus
+
+        report, _ = section
+        prefilter = report["prefilter"]
+        assert prefilter["hits_without_resolution"] == _plain_scan_hits(
+            generate_corpus(report["count"], seed=report["seed"])
+        )
+        assert prefilter["resolution_gain"] == (
+            prefilter["hits"] - prefilter["hits_without_resolution"]
+        )
+
+
 class TestFleetMerge:
     def test_merge_into_existing_report_preserves_sections(self, tmp_path):
         path = tmp_path / "BENCH_corpus.json"
@@ -71,7 +124,7 @@ class TestFleetMerge:
         }))
         merged = merge_fleet_section(path, {"count": 5})
         data = json.loads(path.read_text())
-        assert data["schema"].endswith("/v8")
+        assert data["schema"].endswith("/v9")
         assert data["corpus"] == {"count": 10}
         assert data["prefilter"] == {"hit_rate": 0.33}
         assert data["fleet"] == {"count": 5}
@@ -93,4 +146,4 @@ class TestFleetMerge:
         report, output = section
         data = json.loads(output.read_text())
         assert data["fleet"]["count"] == report["count"]
-        assert data["schema"].endswith("/v8")
+        assert data["schema"].endswith("/v9")

@@ -31,6 +31,8 @@ from repro.corpusgen import (
     mutate_remove_flow,
 )
 from repro.corpusgen.generator import Blueprint, _draw_blueprint
+from repro.js import parse
+from repro.lint.surface import nodes_surface
 
 pytestmark = pytest.mark.fleet
 
@@ -78,11 +80,16 @@ def test_benign_fragments_are_prefiltered():
 
 
 def test_constant_computed_fragment_needs_resolution_to_prefilter():
-    # benign-table's obj[key] sites are provably constant: only the
-    # pre-analysis resolver lets the prefilter skip it.
+    # benign-table's obj[key] sites are provably constant: the plain
+    # scan refuses them as dynamic, and only the prefilter's resolver
+    # lets it skip the addon — with the full analysis's signature.
     text = _benign_instance("benign-table").text
-    assert vet(text, prefilter=True).prefiltered
-    assert not vet(text, prefilter=True, preanalysis=False).prefiltered
+    assert nodes_surface([parse(text)]).dynamic_properties
+    on = vet(text, prefilter=True)
+    assert on.prefiltered
+    assert on.counters["resolved_sites"] > 0
+    off = vet(text, prefilter=False)
+    assert on.signature.render() == off.signature.render() == ""
 
 
 def test_dynamic_surface_fragments_stay_out_of_the_fast_lane():

@@ -42,7 +42,7 @@ class TestBenchProtocol:
     def test_report_is_written_and_round_trips(self, bench_report):
         report, output = bench_report
         assert json.loads(output.read_text(encoding="utf-8")) == report
-        assert report["schema"] == "addon-sig/bench-corpus/v8"
+        assert report["schema"] == "addon-sig/bench-corpus/v9"
 
     def test_single_run_protocol_keeps_its_only_sample(self):
         report = run_bench(
@@ -63,7 +63,7 @@ class TestDegenerateCorpora:
     def test_empty_examples_dir_yields_null_rate(self, tmp_path):
         from repro.evaluation.bench import _bench_prefilter
 
-        section = _bench_prefilter(tmp_path)  # exists, holds no *.js
+        section, _ = _bench_prefilter(tmp_path)  # exists, holds no *.js
         assert section["addons"] == 0
         assert section["hits"] == 0
         assert section["hit_rate"] is None
@@ -78,24 +78,20 @@ class TestDegenerateCorpora:
         assert section["verdicts"] == {}
 
     def test_empty_examples_dir_yields_null_preanalysis_rates(self, tmp_path):
-        from repro.evaluation.bench import _bench_preanalysis
+        from repro.evaluation.bench import _bench_prefilter
 
-        section = _bench_preanalysis(tmp_path)  # exists, holds no *.js
+        _, section = _bench_prefilter(tmp_path)  # exists, holds no *.js
         assert section["addons"] == 0
         assert section["resolution_rate"] is None
-        assert section["hit_rate_with_preanalysis"] is None
+        assert section["hit_rate_with_resolution"] is None
+        assert section["hit_rate_without_resolution"] is None
         assert section["identical_signatures"]
 
     def test_missing_dirs_still_skip_the_section(self, tmp_path):
-        from repro.evaluation.bench import (
-            _bench_incremental,
-            _bench_preanalysis,
-            _bench_prefilter,
-        )
+        from repro.evaluation.bench import _bench_incremental, _bench_prefilter
 
         assert _bench_prefilter(tmp_path / "nope") is None
         assert _bench_incremental(tmp_path / "nope") is None
-        assert _bench_preanalysis(tmp_path / "nope") is None
 
     def test_degenerate_sections_render(self, tmp_path):
         from repro.evaluation.bench import render_bench

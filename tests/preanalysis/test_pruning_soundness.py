@@ -1,9 +1,11 @@
-"""Pre-analysis soundness, proven corpus-by-corpus.
+"""Computed-key resolution soundness, proven corpus-by-corpus.
 
-The claim: for every addon — curated benchmark corpus, examples corpus
-under recovery, WebExtension bundles, generated fleet corpus — vetting
-with the pre-analysis (resolution) on produces bit-identical rendered
-signatures to vetting with it off. Budget trips are the one sanctioned
+The resolver only ever runs inside the relevance prefilter, so its arms
+are the prefilter on (resolving computed keys where they alone would
+refuse the fast lane) and off (the full analysis). The claim: for every
+addon — curated benchmark corpus, examples corpus under recovery,
+WebExtension bundles, generated fleet corpus — both produce
+bit-identical rendered signatures. Budget trips are the one sanctioned
 divergence: the two arms need not trip at the same step, so the
 degraded (⊤-widened) arm must *subsume* the exact one rather than equal
 it.
@@ -30,8 +32,8 @@ pytestmark = pytest.mark.preanalysis
 
 
 def _identical(source: str, **kwargs) -> None:
-    on = vet(source, preanalysis=True, **kwargs)
-    off = vet(source, preanalysis=False, **kwargs)
+    on = vet(source, prefilter=True, **kwargs)
+    off = vet(source, prefilter=False, **kwargs)
     assert on.signature.render() == off.signature.render()
     assert on.degraded == off.degraded
 
@@ -55,7 +57,7 @@ class TestBitIdentity:
         source = (
             REPO / "examples" / "addons" / "shortcut_palette.js"
         ).read_text(encoding="utf-8")
-        report = vet(source, recover=True)
+        report = vet(source, recover=True, prefilter=True)
         assert report.counters["resolved_sites"] == 1
         _identical(source, recover=True)
 
@@ -77,7 +79,7 @@ class TestBudgetTrips:
         )
         exact = vet(source).signature
         for max_steps in (2, 5, 20, 100):
-            on = vet(source, preanalysis=True, budget=Budget(max_steps=max_steps))
-            off = vet(source, preanalysis=False, budget=Budget(max_steps=max_steps))
+            on = vet(source, prefilter=True, budget=Budget(max_steps=max_steps))
+            off = vet(source, prefilter=False, budget=Budget(max_steps=max_steps))
             for arm in (on, off):
                 assert subsumes(arm.signature, exact), max_steps

@@ -117,6 +117,29 @@ class TestReplay:
         assert revived.recovery["jobs_replayed"] == 3
         assert revived.claim().id == queued.id
 
+    def test_replay_runs_a_task_with_a_retired_field(self, tmp_path):
+        # A journal written before ``VetTask.preanalysis`` was removed
+        # still carries the field; replay drops it and the job runs.
+        from repro.batch import vet_many
+        from repro.service.jobs import task_to_json
+
+        queue = _queue(tmp_path)
+        record = task_to_json(_task("old-addon", "var k = 'a'; var v = o[k];"))
+        record["preanalysis"] = False
+        queue._log({
+            "event": "submit", "job_id": "job-old", "seq": 1, "task": record,
+        })
+        queue.close()
+
+        revived = _queue(tmp_path)
+        assert revived.recovery["jobs_replayed"] == 1
+        claimed = revived.claim()
+        assert claimed.id == "job-old"
+        assert not hasattr(claimed.task, "preanalysis")
+        [outcome] = vet_many([claimed.task], workers=1, use_cache=False)
+        assert outcome.ok
+        assert outcome.signature_text == ""
+
     def test_replay_requeues_mid_run_jobs(self, tmp_path):
         queue = _queue(tmp_path)
         job = queue.submit(_task())

@@ -364,3 +364,19 @@ class TestHostileCorpus:
         # Failures and degraded outcomes are never served from cache;
         # the clean ones are.
         assert [o.cached for o in replay] == [True, False, True, False]
+
+
+class TestDeepNesting:
+    """A deeply nested literal parses, and the prefilter's surface scan
+    walks it iteratively, so the vet ends ``ok`` and prefiltered — no
+    recursive pass on the vet path turns it into ``internal``."""
+
+    @pytest.mark.parametrize("depth", [1000, 2000])
+    def test_deep_array_literal_is_prefiltered(self, depth):
+        source = "var a = " + "[" * depth + "1" + "]" * depth + ";"
+        [outcome] = vet_many(
+            [VetTask(f"nested-{depth}", source)], workers=1, use_cache=False
+        )
+        assert outcome.ok, f"{outcome.failure}: {outcome.error}"
+        assert outcome.prefiltered
+        assert outcome.signature_text == ""

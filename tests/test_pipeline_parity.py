@@ -75,13 +75,40 @@ def _golden() -> dict:
     return {name: _outcome(*program) for name, program in PROGRAMS.items()}
 
 
+#: Counter keys the golden file still lists that a vet no longer
+#: reports, per arm: the call graph left the vet path, and the
+#: computed-key resolution counters come only from the prefilter.
+_REMOVED_COUNTERS = {
+    "full": {"callgraph_edges", "resolved_sites", "residual_dynamic_sites"},
+    "prefilter": {"callgraph_edges"},
+}
+
+
+def _strip_removed_counters(outcome: dict) -> dict:
+    return {
+        arm: {
+            **fields,
+            "counters": [
+                key for key in fields["counters"]
+                if key not in _REMOVED_COUNTERS[arm]
+            ],
+        }
+        for arm, fields in outcome.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     assert GOLDEN.exists(), (
         "golden file missing; regenerate with: PYTHONPATH=src python -m "
         "tests.test_pipeline_parity"
     )
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {
+        name: _strip_removed_counters(outcome)
+        for name, outcome in json.loads(
+            GOLDEN.read_text(encoding="utf-8")
+        ).items()
+    }
 
 
 def test_golden_covers_every_program(golden):
