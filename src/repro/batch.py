@@ -49,12 +49,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import repro
 from repro.faults import Budget, FailureKind, RetryPolicy, classify_exception
 from repro.perf import median_report
-from repro.signatures.spec import SecuritySpec
 from repro.store import JsonStore
+
+if TYPE_CHECKING:
+    from repro.signatures.spec import SecuritySpec
 
 #: Bump when the pipeline's observable output changes (invalidates every
 #: cached outcome, together with ``repro.__version__``).
@@ -806,6 +809,10 @@ def _run_pool(
     into totals and a per-attempt histogram.
     """
     from concurrent.futures.process import BrokenProcessPool
+
+    # Load the analyzer here, once, so every forked worker inherits it
+    # instead of importing it again for each pool.
+    import repro.api  # noqa: F401
 
     policy = policy if policy is not None else RetryPolicy()
     rng = random.Random(len(pending))  # deterministic jitter per batch

@@ -22,41 +22,30 @@ first-class, cheap query:
 Entry points: :func:`repro.api.diff_vet` (one update), ``addon-sig diff
 old.js new.js`` (CLI), and ``vet_corpus(..., baseline=...)`` /
 ``vet_many(..., store=...)`` (batch).
+
+The re-exports resolve on first access (:mod:`repro.lazy`), so the
+vetting daemon imports :mod:`repro.diffvet.store` without loading the
+analyzer behind :mod:`repro.diffvet.incremental`.
 """
 
-from repro.diffvet.diff import (
-    CHANGE_KINDS,
-    EntryChange,
-    SignatureDiff,
-    diff_signatures,
-)
-from repro.diffvet.incremental import (
-    ChangeCertificate,
-    ChangeSurface,
-    certify_unchanged,
-    change_surface,
-)
-from repro.diffvet.report import (
-    VersionPair,
-    diff_report,
-    discover_pairs,
-    render_report,
-)
-from repro.diffvet.store import VersionRecord, VersionStore
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CHANGE_KINDS",
-    "EntryChange",
-    "SignatureDiff",
-    "diff_signatures",
-    "ChangeCertificate",
-    "ChangeSurface",
-    "certify_unchanged",
-    "change_surface",
-    "VersionPair",
-    "diff_report",
-    "discover_pairs",
-    "render_report",
-    "VersionRecord",
-    "VersionStore",
-]
+_EXPORTS = {
+    "CHANGE_KINDS": "repro.diffvet.diff",
+    "EntryChange": "repro.diffvet.diff",
+    "SignatureDiff": "repro.diffvet.diff",
+    "diff_signatures": "repro.diffvet.diff",
+    "ChangeCertificate": "repro.diffvet.incremental",
+    "ChangeSurface": "repro.diffvet.incremental",
+    "certify_unchanged": "repro.diffvet.incremental",
+    "change_surface": "repro.diffvet.incremental",
+    "VersionPair": "repro.diffvet.report",
+    "diff_report": "repro.diffvet.report",
+    "discover_pairs": "repro.diffvet.report",
+    "render_report": "repro.diffvet.report",
+    "VersionRecord": "repro.diffvet.store",
+    "VersionStore": "repro.diffvet.store",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

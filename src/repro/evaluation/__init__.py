@@ -1,43 +1,41 @@
-"""The evaluation harness: Table 1, Table 2, and figure reproductions."""
+"""The evaluation harness: Table 1, Table 2, and figure reproductions.
 
-from repro.evaluation.bench import render_bench, run_bench
-from repro.evaluation.scaling import (
-    check_regression,
-    render_scaling,
-    run_scaling,
-    synthesize_chain,
-    synthesize_flat,
-)
-from repro.evaluation.table1 import Table1Row, compute_table1, render_table1
-from repro.evaluation.table2 import (
-    DiffRow,
-    Table2Row,
-    compute_diff_rows,
-    compute_table2,
-    render_diff_table,
-    render_table2,
-)
-from repro.evaluation.timing import PhaseTimes, time_phases, time_phases_once
-from repro.evaluation.report import render_report
-from repro.evaluation.figures import (
-    FIGURE1_PROGRAM,
-    FIGURE2_EXPECTED,
-    check_figure2,
-    figure2_edges,
-    figure4_lattice,
-    render_figure2,
-    render_figure4,
-)
+The re-exports resolve on first access (:mod:`repro.lazy`), so the
+service load generator imports :mod:`repro.evaluation.scaling` without
+loading the analyzer the tables and figures run.
+"""
 
-__all__ = [
-    "compute_table1", "render_table1", "Table1Row",
-    "compute_table2", "render_table2", "Table2Row",
-    "compute_diff_rows", "render_diff_table", "DiffRow",
-    "time_phases", "time_phases_once", "PhaseTimes",
-    "FIGURE1_PROGRAM", "FIGURE2_EXPECTED", "check_figure2",
-    "figure2_edges", "figure4_lattice", "render_figure2", "render_figure4",
-    "render_report",
-    "run_bench", "render_bench",
-    "run_scaling", "render_scaling", "check_regression",
-    "synthesize_flat", "synthesize_chain",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "compute_table1": "repro.evaluation.table1",
+    "render_table1": "repro.evaluation.table1",
+    "Table1Row": "repro.evaluation.table1",
+    "compute_table2": "repro.evaluation.table2",
+    "render_table2": "repro.evaluation.table2",
+    "Table2Row": "repro.evaluation.table2",
+    "compute_diff_rows": "repro.evaluation.table2",
+    "render_diff_table": "repro.evaluation.table2",
+    "DiffRow": "repro.evaluation.table2",
+    "time_phases": "repro.evaluation.timing",
+    "time_phases_once": "repro.evaluation.timing",
+    "PhaseTimes": "repro.evaluation.timing",
+    "FIGURE1_PROGRAM": "repro.evaluation.figures",
+    "FIGURE2_EXPECTED": "repro.evaluation.figures",
+    "check_figure2": "repro.evaluation.figures",
+    "figure2_edges": "repro.evaluation.figures",
+    "figure4_lattice": "repro.evaluation.figures",
+    "render_figure2": "repro.evaluation.figures",
+    "render_figure4": "repro.evaluation.figures",
+    "render_report": "repro.evaluation.report",
+    "run_bench": "repro.evaluation.bench",
+    "render_bench": "repro.evaluation.bench",
+    "run_scaling": "repro.evaluation.scaling",
+    "render_scaling": "repro.evaluation.scaling",
+    "check_regression": "repro.evaluation.scaling",
+    "synthesize_flat": "repro.evaluation.scaling",
+    "synthesize_chain": "repro.evaluation.scaling",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -814,16 +814,17 @@ def _number_to_property_key(value: float) -> str:
     return repr(value)
 
 
-def _with_recursion_room(source: str, filename: str, run):
-    """Tokenize and run a parse under a raised (bounded) recursion limit.
+def _with_recursion_room(tokens: list[Token], filename: str, run):
+    """Run a parse of ``tokens`` under a raised (bounded) recursion limit.
 
     The parser is recursive-descent, so deeply nested expressions consume
     Python stack; the limit is raised (bounded) for the duration of the
     parse so legitimately deep inputs don't hit Python's default ceiling.
+    Every parse goes through here, including the linter's, which keeps
+    its own token list for the token rules.
     """
     import sys
 
-    tokens = tokenize(source, filename)
     wanted = min(100_000, max(sys.getrecursionlimit(), 40 * 256 + len(tokens) * 10))
     previous = sys.getrecursionlimit()
     sys.setrecursionlimit(max(previous, wanted))
@@ -835,7 +836,9 @@ def _with_recursion_room(source: str, filename: str, run):
 
 def parse(source: str, filename: str = "<addon>") -> ast.Program:
     """Parse JavaScript ``source`` into an AST."""
-    return _with_recursion_room(source, filename, Parser.parse_program)
+    return _with_recursion_room(
+        tokenize(source, filename), filename, Parser.parse_program
+    )
 
 
 def parse_with_recovery(
@@ -848,5 +851,6 @@ def parse_with_recovery(
     token stream to resynchronize on).
     """
     return _with_recursion_room(
-        source, filename, Parser.parse_program_with_recovery
+        tokenize(source, filename), filename,
+        Parser.parse_program_with_recovery,
     )

@@ -1,0 +1,42 @@
+"""Package re-exports that import their module on first access.
+
+A package ``__init__`` that re-exports its submodules' names eagerly
+loads every submodule on ``import package.anything``. Packages whose
+light submodules are imported by processes that never analyze (the
+vetting daemon, its clients, the load generator) declare their
+re-exports through :func:`lazy_exports` instead (PEP 562 module
+``__getattr__``)::
+
+    __all__ = list(_EXPORTS)
+    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+A lazily re-exported name must never also be the name of one of the
+package's submodules: importing the submodule binds it as a package
+attribute, and the module would then shadow the re-exported object.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+
+
+def lazy_exports(package: str, exports: dict[str, str]):
+    """The ``(__getattr__, __dir__)`` hooks for ``package``, resolving
+    each name in ``exports`` from the module it maps to (and caching it
+    in the package namespace, so each name resolves once)."""
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(exports[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__

@@ -25,7 +25,7 @@ from typing import ClassVar
 from repro.js import ast as js_ast
 from repro.js.errors import FrontendError, SourcePosition, Span
 from repro.js.lexer import tokenize
-from repro.js.parser import Parser, SkippedStatement
+from repro.js.parser import Parser, SkippedStatement, _with_recursion_room
 from repro.js.tokens import Token
 from repro.lint.findings import Finding, LintReport, Severity
 
@@ -166,7 +166,9 @@ def lint_source(
             )
         ]
 
-    program, skipped = Parser(tokens, filename).parse_program_with_recovery()
+    program, skipped = _with_recursion_room(
+        tokens, filename, Parser.parse_program_with_recovery
+    )
     findings = [_skip_finding(skip, filename) for skip in skipped]
 
     active = list(rules) if rules is not None else all_rules()
@@ -208,7 +210,9 @@ def file_surface(source: str) -> dict | None:
         tokens = tokenize(source)
     except FrontendError:
         return None
-    program, skipped = Parser(tokens, "<addon>").parse_program_with_recovery()
+    program, skipped = _with_recursion_room(
+        tokens, "<addon>", Parser.parse_program_with_recovery
+    )
     surface = resolved_surface([program], degraded=bool(skipped))
     return {
         "dynamic_code": surface.dynamic_code,

@@ -164,23 +164,19 @@ def build_callgraph(programs: Iterable[js_ast.Program]) -> CallGraph:
     # function expression's body belongs to the region that contains it
     # (it can run whenever that region runs); a nested declaration opens
     # its own region (it runs only if something references its name).
+    # An explicit stack, so arbitrarily deep trees need no recursion.
     owner_of: dict[int, int] = {}
-
-    def assign_owner(node: js_ast.Node, region: int) -> None:
+    stack: list[tuple[js_ast.Node, int]] = [
+        (program, TOP_LEVEL) for program in programs
+    ]
+    while stack:
+        node, region = stack.pop()
         owner_of[id(node)] = region
         for child in node.children():
             if isinstance(child, js_ast.FunctionDeclaration):
-                assign_owner(child, fid_of[id(child)])
+                stack.append((child, fid_of[id(child)]))
             else:
-                assign_owner(child, region)
-
-    for program in programs:
-        owner_of[id(program)] = TOP_LEVEL
-        for statement in program.body:
-            if isinstance(statement, js_ast.FunctionDeclaration):
-                assign_owner(statement, fid_of[id(statement)])
-            else:
-                assign_owner(statement, TOP_LEVEL)
+                stack.append((child, region))
 
     # A function expression is *activated* with its region; a nested
     # declaration is activated when its name is referenced from an

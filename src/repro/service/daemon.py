@@ -112,6 +112,7 @@ class VettingService:
     # -- scheduling ----------------------------------------------------
 
     async def start(self) -> None:
+        self.pool.start()
         self._running = True
         self._scheduler_task = asyncio.create_task(self._scheduler())
 

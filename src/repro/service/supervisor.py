@@ -6,6 +6,10 @@ A thin, crash-aware wrapper around ``ProcessPoolExecutor``:
   per-addon fault (parse error, budget trip, salvage) already arrives
   as a typed outcome — the supervisor only has to handle the faults
   the worker *cannot* report: its own death and wedging;
+- workers are spawned when the daemon starts (:meth:`SupervisedPool
+  .start`), and each one loads the analyzer while it boots
+  (:func:`_worker_init`), so the daemon itself never imports it and
+  the first jobs do not wait for it;
 - a worker death surfaces as :class:`WorkerCrashError`; the pool is
   torn down and lazily rebuilt, so the next job gets a healthy pool
   (the daemon decides requeue-vs-poison via the durable queue's
@@ -14,7 +18,8 @@ A thin, crash-aware wrapper around ``ProcessPoolExecutor``:
   the cooperative ``timeout`` degrades inside the fixpoint, and the
   same generous hard backstop the batch engine uses
   (:func:`repro.batch._hard_timeout`) catches work wedged outside it,
-  surfacing as :class:`JobDeadlineError`.
+  surfacing as :class:`JobDeadlineError`; the wedged worker is killed
+  and reaped before the pool is rebuilt.
 
 The pool exposes its worker pids so the chaos harness can SIGKILL real
 workers mid-run.
@@ -24,29 +29,38 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING
 
 from repro.batch import VetOutcome, VetTask, _execute_task, _hard_timeout
-from repro.signatures.spec import SecuritySpec
+
+if TYPE_CHECKING:
+    from repro.signatures.spec import SecuritySpec
 
 
 def _worker_init() -> None:
-    """Detach the worker from the daemon's signal plumbing.
+    """Boot a worker: detach it from the daemon's signal plumbing, then
+    load the vetting pipeline before the first job needs it.
 
-    Forked workers inherit the parent's asyncio signal handlers *and*
-    its signal wakeup pipe. Without this, a SIGTERM delivered to a
-    worker (which is exactly what the executor sends the survivors when
-    one worker dies) is written to the shared pipe and dispatched by
-    the *daemon's* event loop as if the daemon itself had been told to
-    shut down — one worker kill would stop the whole service."""
+    A SIGTERM delivered to a worker (which is exactly what the executor
+    sends the survivors when one worker dies) must end the worker, never
+    reach the *daemon's* event loop as if the daemon itself had been
+    told to shut down; and a terminal's SIGINT is the daemon's to
+    handle, not its workers'."""
     try:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):
         pass
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # What _execute_task imports on first use.
+    import repro.api  # noqa: F401
+    import repro.diffvet.incremental  # noqa: F401
+    import repro.lint.surface  # noqa: F401
+    import repro.webext.pipeline  # noqa: F401
 
 
 class WorkerCrashError(RuntimeError):
@@ -75,6 +89,17 @@ class SupervisedPool:
 
     # -- lifecycle -----------------------------------------------------
 
+    def start(self) -> None:
+        """Spawn every worker now, so they boot while the daemon comes
+        up instead of when the first jobs arrive. A pool torn down
+        after a crash or deadline is rebuilt lazily by :meth:`run`."""
+        executor = self._ensure_executor()
+        # The executor spawns one worker per submit while none is idle.
+        # The results are not needed: a pool that breaks while booting
+        # surfaces on the next job, as a crash.
+        for _ in range(self.workers):
+            executor.submit(os.getpid)
+
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             # Spawn, not fork: forked workers inherit the daemon's open
@@ -89,6 +114,16 @@ class SupervisedPool:
             )
         return self._executor
 
+    def _kill_workers(self) -> None:
+        """SIGKILL and reap every live worker: ``shutdown`` never stops
+        a *running* one."""
+        processes = list(self._processes().values())
+        for process in processes:
+            if process.is_alive():
+                process.kill()
+        for process in processes:
+            process.join()
+
     def _teardown(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
@@ -97,17 +132,16 @@ class SupervisedPool:
     def shutdown(self) -> None:
         self._teardown()
 
+    def _processes(self) -> dict:
+        return getattr(self._executor, "_processes", None) or {}
+
     def worker_pids(self) -> list[int]:
         """The live worker pids (the chaos harness's kill targets).
-        Workers are forked lazily, so this can be empty before the
-        first job."""
-        executor = self._executor
-        if executor is None:
-            return []
-        processes = getattr(executor, "_processes", None) or {}
+        Empty before :meth:`start` and after a teardown, until the next
+        job rebuilds the pool."""
         return sorted(
             process.pid
-            for process in processes.values()
+            for process in self._processes().values()
             if process.is_alive() and process.pid is not None
         )
 
@@ -140,8 +174,9 @@ class SupervisedPool:
             self._teardown()
             raise WorkerCrashError(str(exc) or "worker process died") from exc
         except asyncio.TimeoutError as exc:
-            # The worker is wedged; only a pool teardown reclaims it.
+            # The worker is wedged; only killing it reclaims its core.
             self.rebuilds += 1
+            self._kill_workers()
             self._teardown()
             raise JobDeadlineError(
                 f"exceeded the {deadline:.1f}s hard deadline"

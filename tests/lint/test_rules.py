@@ -126,6 +126,16 @@ class TestFrontendFindings:
         lines = [f.span.start.line for f in first]
         assert lines == sorted(lines)
 
+    @pytest.mark.parametrize("depth", [1000, 2000])
+    def test_deep_nesting_lints_to_an_ordinary_report(self, tmp_path, depth):
+        # The linter parses under the same raised recursion limit as
+        # ``parse``, and the CG rules' call graph walks iteratively.
+        path = tmp_path / "nested.js"
+        path.write_text("var a = " + "[" * depth + "1" + "]" * depth + ";")
+        data = lint_paths([path]).to_json()
+        assert data["findings"] == []
+        assert data["surfaces"][str(path)]["dynamic_code"] is False
+
 
 class TestGoldenReport:
     """The full examples-corpus report, pinned byte-for-byte."""

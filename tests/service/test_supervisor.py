@@ -86,10 +86,29 @@ def test_hard_deadline_fires_for_wedged_jobs():
     big = "\n".join(
         f"var v{n} = document.cookie; send(v{n});" for n in range(5000)
     )
+    running: list[int] = []
+
+    async def run_wedged():
+        async def capture_pids():
+            await asyncio.sleep(0.2)
+            running.extend(pool.worker_pids())
+
+        capture = asyncio.ensure_future(capture_pids())
+        try:
+            await pool.run(VetTask(name="wedged", source=big))
+        finally:
+            await capture
+
     with pytest.raises(JobDeadlineError):
-        asyncio.run(pool.run(VetTask(name="wedged", source=big)))
+        asyncio.run(run_wedged())
     assert pool.rebuilds == 1
     assert pool.worker_pids() == [], "wedged worker torn down"
+    assert running, "the wedged worker should be visible while it runs"
+    for pid in running:
+        # Killed and reaped: a live worker or an unreaped zombie would
+        # still accept signal 0.
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     del pool._deadline  # back to the generous production backstop
     healed = asyncio.run(pool.run(VetTask(name="after", source="var a = 1;")))
