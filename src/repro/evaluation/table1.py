@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.addons import CORPUS, AddonSpec
-from repro.batch import parallel_map
 from repro.evaluation.tables import format_count, render_table
 from repro.js import node_count, parse
 
@@ -26,15 +25,12 @@ class Table1Row:
     measured_ast_nodes: int
 
 
-def _measure(spec: AddonSpec) -> Table1Row:
-    """Module-level so the row computation can cross a process boundary."""
-    return Table1Row(spec=spec, measured_ast_nodes=node_count(parse(spec.source())))
-
-
-def compute_table1(workers: int | None = None) -> list[Table1Row]:
-    """Parse every corpus addon and measure its size (fanned out over
-    the batch engine's worker pool when more than one CPU is available)."""
-    return parallel_map(_measure, CORPUS, workers=workers)
+def compute_table1() -> list[Table1Row]:
+    """Parse every corpus addon and measure its size."""
+    return [
+        Table1Row(spec=spec, measured_ast_nodes=node_count(parse(spec.source())))
+        for spec in CORPUS
+    ]
 
 
 def render_table1(rows: list[Table1Row]) -> str:

@@ -15,9 +15,10 @@ the machinery around them crashes.
   so execution is at-least-once but result commit is idempotent —
   a replayed job that already committed is recognized, not re-run;
 - :mod:`repro.service.supervisor` — :class:`SupervisedPool`: the
-  process pool the daemon vets on, rebuilt on worker death, with
-  per-job hard deadlines layered over the cooperative
-  :class:`repro.faults.Budget`;
+  daemon's async policy over the batch engine's
+  :class:`repro.batch.WorkerPool` (spawned workers, rebuilt on worker
+  death, per-job hard deadlines that kill the wedged worker, layered
+  over the cooperative :class:`repro.faults.Budget`);
 - :mod:`repro.service.daemon` — :class:`VettingService` plus its two
   front doors (``addon-sig serve``): newline-delimited JSON-RPC on
   stdin/stdout, or a localhost HTTP listener (stdlib-only, asyncio);

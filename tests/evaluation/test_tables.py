@@ -50,20 +50,23 @@ class TestTable1:
 
 @pytest.mark.slow
 class TestTable2:
-    def test_full_table_matches_paper(self):
-        rows = compute_table2(runs=2)
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # Four runs keep three samples after the warm-up discard, so the
+        # per-phase median absorbs one outlier sample.
+        return compute_table2(runs=4)
+
+    def test_full_table_matches_paper(self, rows):
         assert len(rows) == 10
         assert all(row.matches_paper for row in rows)
 
-    def test_phase_time_shape(self):
-        rows = compute_table2(runs=2)
+    def test_phase_time_shape(self, rows):
         for row in rows:
             # Signature inference is the cheap phase, as in the paper.
             assert row.times.p3 <= row.times.p1
             assert row.times.total < 60.0  # "under one minute"
 
-    def test_render_mentions_match_count(self):
-        rows = compute_table2(runs=2)
+    def test_render_mentions_match_count(self, rows):
         assert "10/10" in render_table2(rows)
 
 

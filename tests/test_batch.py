@@ -349,6 +349,3 @@ class TestEngineShape:
             "addon-0", "addon-1", "addon-2",
         ]
         assert [outcome.cached for outcome in outcomes] == [False, True, False]
-
-    def test_parallel_map_preserves_order(self):
-        assert batch.parallel_map(len, ["a", "bb", "ccc"], workers=2) == [1, 2, 3]
