@@ -14,7 +14,8 @@ Subcommands:
   parallel through the batch engine; ``--workers``/``--cache`` tune it);
 - ``bench`` — benchmark the corpus and write ``BENCH_corpus.json``
   (per-addon P1/P2/P3 medians plus hot-path counters, and the relevance
-  prefilter's hit rate on the examples corpus);
+  prefilter's hit rate on the examples corpus); exit 1 when a fast
+  path's on/off sweep changed a signature;
 - ``scaling`` — sweep synthetic addons (flat handler farms and nested-
   loop callback chains) up to ~12k AST nodes and write
   ``BENCH_scaling.json``; with ``--baseline`` it gates on a >20% P1
@@ -228,6 +229,13 @@ def _cmd_bench(arguments: argparse.Namespace) -> int:
     )
     print(render_bench(report))
     print(f"\nwritten to {arguments.output}")
+    unsound = [name for name, section in report.items()
+               if isinstance(section, dict)
+               and not section.get("identical_signatures", True)]
+    if unsound:
+        print(f"BENCH UNSOUND: {', '.join(unsound)} changed a signature",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -39,12 +39,9 @@ Run: ``addon-sig scaling [--runs N] [--output FILE] [--baseline FILE]``.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import math
 import statistics
-import sys
 from pathlib import Path
 
 SCHEMA = "addon-sig/bench-scaling/v1"
@@ -370,42 +367,3 @@ def render_scaling(report: dict) -> str:
                 f"shared copies {counters.get('shared_copies', 0):>8}"
             )
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--k", type=int, default=1)
-    parser.add_argument("--output", default="BENCH_scaling.json")
-    parser.add_argument(
-        "--baseline", default=None,
-        help="checked-in BENCH_scaling baseline to gate against "
-             "(exit 1 on >tolerance p1 regression at the largest size)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.20,
-        help="allowed relative p1 regression at the largest size",
-    )
-    arguments = parser.parse_args(argv)
-    report = run_scaling(
-        runs=arguments.runs, k=arguments.k, output=arguments.output,
-    )
-    print(render_scaling(report))
-    print(f"\nwritten to {arguments.output}")
-    if arguments.baseline is not None:
-        baseline = json.loads(
-            Path(arguments.baseline).read_text(encoding="utf-8")
-        )
-        failures = check_regression(
-            report, baseline, tolerance=arguments.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"regression gate passed (vs {arguments.baseline})")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

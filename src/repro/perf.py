@@ -9,12 +9,16 @@ Small pieces every layer can agree on without import cycles:
   (fixpoint steps, states created, joins, PDG edges, ...). Counters are
   pure observation: they never feed back into analysis decisions, so
   enabling them cannot change any signature;
-- :func:`peak_rss_mb` — the process's memory high-water mark.
+- :func:`peak_rss_mb` — the process's memory high-water mark;
+- :func:`rate` and :func:`tally` — the hit rates and breakdowns the
+  bench reports carry.
 """
 
 from __future__ import annotations
 
 import statistics
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -111,3 +115,17 @@ def peak_rss_mb() -> float | None:
         for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     )
     return round(peak_kb / 1024.0, 2)
+
+
+def rate(hits: int, total: int) -> float | None:
+    """``hits/total`` rounded to 4 places, or ``None`` — a null rate,
+    not a ZeroDivisionError — when ``total`` is 0 (an empty or fully
+    filtered corpus)."""
+    if total == 0:
+        return None
+    return round(hits / total, 4)
+
+
+def tally(items: Iterable[str]) -> dict[str, int]:
+    """How often each item occurs, keyed in sorted order."""
+    return dict(sorted(Counter(items).items()))

@@ -643,46 +643,3 @@ def render_report(report: dict) -> str:
         f"→ {'OK' if checks['ok'] else 'FAIL'}"
     )
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="addon-sig service-bench",
-        description="chaos-test the vetting daemon end to end",
-    )
-    parser.add_argument("--jobs", type=int, default=50)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--submitters", type=int, default=4)
-    parser.add_argument("--worker-kills", type=int, default=2)
-    parser.add_argument("--daemon-kills", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--no-fsync", action="store_true",
-        help="run both daemons without fsync (faster; tests only)",
-    )
-    parser.add_argument(
-        "--state-dir", default=None,
-        help="keep the daemon state directories here for inspection",
-    )
-    parser.add_argument("--output", default="BENCH_service.json")
-    arguments = parser.parse_args(argv)
-    report = run_bench(
-        arguments.output,
-        jobs=arguments.jobs,
-        workers=arguments.workers,
-        submitters=arguments.submitters,
-        worker_kills=arguments.worker_kills,
-        daemon_kills=arguments.daemon_kills,
-        seed=arguments.seed,
-        fsync=not arguments.no_fsync,
-        state_dir=arguments.state_dir,
-    )
-    print(render_report(report))
-    print(f"wrote {arguments.output}")
-    return 0 if report["checks"]["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

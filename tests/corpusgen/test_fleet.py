@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.corpusgen.fleet import (
-    FLEET_SECTION_KEYS,
-    merge_fleet_section,
-    render_fleet,
-    run_fleet,
-)
+from repro.corpusgen.fleet import FLEET_SECTION_KEYS, render_fleet, run_fleet
+from repro.evaluation.bench import merge_sections
 
 pytestmark = pytest.mark.fleet
 
@@ -122,7 +118,7 @@ class TestFleetMerge:
             "corpus": {"count": 10},
             "prefilter": {"hit_rate": 0.33},
         }))
-        merged = merge_fleet_section(path, {"count": 5})
+        merged = merge_sections(path, {"fleet": {"count": 5}})
         data = json.loads(path.read_text())
         assert data["schema"].endswith("/v9")
         assert data["corpus"] == {"count": 10}
@@ -132,14 +128,14 @@ class TestFleetMerge:
 
     def test_merge_creates_fresh_report(self, tmp_path):
         path = tmp_path / "BENCH_corpus.json"
-        merge_fleet_section(path, {"count": 5})
+        merge_sections(path, {"fleet": {"count": 5}})
         data = json.loads(path.read_text())
         assert data["fleet"]["count"] == 5
 
     def test_merge_survives_corrupt_report(self, tmp_path):
         path = tmp_path / "BENCH_corpus.json"
         path.write_text("{not json")
-        merge_fleet_section(path, {"count": 5})
+        merge_sections(path, {"fleet": {"count": 5}})
         assert json.loads(path.read_text())["fleet"]["count"] == 5
 
     def test_run_writes_and_merges(self, section):

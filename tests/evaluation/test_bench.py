@@ -11,7 +11,14 @@ import json
 import pytest
 
 from repro.addons import CORPUS
-from repro.evaluation import check_regression, render_scaling, run_bench, run_scaling
+from repro.corpusgen.fleet import render_fleet, run_fleet
+from repro.evaluation import (
+    check_regression,
+    render_bench,
+    render_scaling,
+    run_bench,
+    run_scaling,
+)
 from repro.evaluation.scaling import synthesize_chain, synthesize_flat
 
 
@@ -56,31 +63,57 @@ class TestBenchProtocol:
                 assert addon["samples_kept"] == 1
 
 
+def _side_sections(**dirs) -> dict:
+    """A bench report over the given side-corpus directories only: no
+    corpus addons, the other side corpora off."""
+    options = {"examples_dir": None, "versions_dir": None,
+               "extensions_dir": None, **dirs}
+    return run_bench(runs=1, workers=1, output=None, corpus=[], **options)
+
+
+def _degenerate_bench(tmp_path):
+    report = run_bench(
+        runs=1, workers=1, output=None,
+        examples_dir=tmp_path, versions_dir=tmp_path,
+        extensions_dir=None, corpus=CORPUS[:1],
+    )
+    return [report["prefilter"]["hit_rate"]], render_bench(report)
+
+
+def _empty_fleet(tmp_path):
+    section = run_fleet(count=0, update_count=0, workers=1, output=None)
+    rates = [
+        section["prefilter"]["hit_rate"],
+        section["cache"]["hit_rate"],
+        section["cache"]["speedup"],
+        section["updates"]["hit_rate"],
+        section["throughput"]["addons_per_s"],
+    ]
+    return rates, render_fleet(section)
+
+
 class TestDegenerateCorpora:
     """Empty or fully-filtered side corpora: null rates with zero
     counts, never a ZeroDivisionError (the v7 contract)."""
 
     def test_empty_examples_dir_yields_null_rate(self, tmp_path):
-        from repro.evaluation.bench import _bench_prefilter
-
-        section, _ = _bench_prefilter(tmp_path)  # exists, holds no *.js
+        # exists, holds no *.js
+        section = _side_sections(examples_dir=tmp_path)["prefilter"]
         assert section["addons"] == 0
         assert section["hits"] == 0
         assert section["hit_rate"] is None
         assert section["identical_signatures"]
 
     def test_empty_versions_dir_yields_null_rate(self, tmp_path):
-        from repro.evaluation.bench import _bench_incremental
-
-        section = _bench_incremental(tmp_path)  # exists, holds no pairs
+        # exists, holds no pairs
+        section = _side_sections(versions_dir=tmp_path)["incremental"]
         assert section["pairs"] == 0
         assert section["hit_rate"] is None
         assert section["verdicts"] == {}
 
     def test_empty_examples_dir_yields_null_preanalysis_rates(self, tmp_path):
-        from repro.evaluation.bench import _bench_prefilter
-
-        _, section = _bench_prefilter(tmp_path)  # exists, holds no *.js
+        # exists, holds no *.js
+        section = _side_sections(examples_dir=tmp_path)["preanalysis"]
         assert section["addons"] == 0
         assert section["resolution_rate"] is None
         assert section["hit_rate_with_resolution"] is None
@@ -88,21 +121,57 @@ class TestDegenerateCorpora:
         assert section["identical_signatures"]
 
     def test_missing_dirs_still_skip_the_section(self, tmp_path):
-        from repro.evaluation.bench import _bench_incremental, _bench_prefilter
-
-        assert _bench_prefilter(tmp_path / "nope") is None
-        assert _bench_incremental(tmp_path / "nope") is None
-
-    def test_degenerate_sections_render(self, tmp_path):
-        from repro.evaluation.bench import render_bench
-
-        report = run_bench(
-            runs=1, workers=1, output=None,
-            examples_dir=tmp_path, versions_dir=tmp_path,
-            extensions_dir=None, corpus=CORPUS[:1],
+        report = _side_sections(
+            examples_dir=tmp_path / "nope", versions_dir=tmp_path / "nope"
         )
-        assert report["prefilter"]["hit_rate"] is None
-        assert "n/a" in render_bench(report)
+        assert report["prefilter"] is None
+        assert report["incremental"] is None
+
+    @pytest.mark.parametrize("harness", [_degenerate_bench, _empty_fleet])
+    def test_degenerate_sections_render(self, tmp_path, harness):
+        rates, rendered = harness(tmp_path)
+        assert all(value is None for value in rates)
+        assert "n/a" in rendered
+        assert "hit rate 0%" not in rendered
+
+
+class TestSoundnessGate:
+    """``addon-sig bench`` exits 1 and names the section when a sweep's
+    two arms disagree on a signature."""
+
+    @pytest.mark.parametrize("skew, code", [(False, 0), (True, 1)])
+    def test_differing_arm_fails_the_bench(
+        self, tmp_path, monkeypatch, capsys, skew, code
+    ):
+        from dataclasses import replace
+
+        from repro import cli
+        from repro.evaluation import bench
+
+        examples = tmp_path / "examples" / "addons"
+        examples.mkdir(parents=True)
+        (examples / "leak.js").write_text("send(document.cookie);")
+        monkeypatch.chdir(tmp_path)  # the default side corpora: examples only
+        monkeypatch.setattr("repro.addons.CORPUS", [])
+        vet_many = bench.vet_many
+
+        def skewed(tasks, **options):
+            outcomes = vet_many(tasks, **options)
+            if skew and tasks and not tasks[0].prefilter:
+                outcomes = [
+                    replace(o, signature_text=o.signature_text + "!")
+                    for o in outcomes
+                ]
+            return outcomes
+
+        monkeypatch.setattr(bench, "vet_many", skewed)
+        output = tmp_path / "BENCH_corpus.json"
+        assert cli.main(["bench", "--runs", "1", "--workers", "1",
+                         "--output", str(output)]) == code
+        report = json.loads(output.read_text(encoding="utf-8"))
+        assert report["prefilter"]["identical_signatures"] is not skew
+        err = capsys.readouterr().err
+        assert ("BENCH UNSOUND: prefilter, preanalysis" in err) is skew
 
 
 class TestFleetSectionPreservation:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.evaluation.bench import _bench_webext
+from repro.evaluation import run_bench
 
 pytestmark = pytest.mark.webext
 
@@ -13,10 +13,19 @@ EXTENSIONS = (
 )
 
 
+def _webext_section(extensions_dir, runs=3):
+    """The bench report's ``webext`` section alone: no corpus addons,
+    the other side corpora off."""
+    return run_bench(
+        runs=runs, workers=1, output=None, corpus=[],
+        examples_dir=None, versions_dir=None, extensions_dir=extensions_dir,
+    )["webext"]
+
+
 class TestWebextBenchSection:
     @pytest.fixture(scope="class")
     def section(self):
-        return _bench_webext(EXTENSIONS, runs=1)
+        return _webext_section(EXTENSIONS, runs=1)
 
     def test_covers_the_whole_mini_corpus(self, section):
         assert section is not None
@@ -41,12 +50,12 @@ class TestWebextBenchSection:
         assert 0.0 <= section["prefilter_hit_rate"] <= 1.0
 
     def test_missing_directory_is_skipped(self, tmp_path):
-        assert _bench_webext(tmp_path / "nope") is None
-        assert _bench_webext(None) is None
+        assert _webext_section(tmp_path / "nope") is None
+        assert _webext_section(None) is None
 
     def test_directory_without_manifests_yields_zero_counts(self, tmp_path):
         (tmp_path / "stray").mkdir()
-        section = _bench_webext(tmp_path)
+        section = _webext_section(tmp_path)
         assert section["count"] == 0
         assert section["prefilter_hits"] == 0
         assert section["prefilter_hit_rate"] is None  # null rate, no crash
