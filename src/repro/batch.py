@@ -43,7 +43,6 @@ corpus-shaped convenience entry. The vetting service's pool
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import multiprocessing
 import os
@@ -58,6 +57,7 @@ from typing import TYPE_CHECKING
 
 import repro
 from repro.faults import Budget, FailureKind, RetryPolicy, classify_exception
+from repro.lazy import sha256_hex
 from repro.perf import median_report
 from repro.store import JsonStore
 
@@ -272,8 +272,7 @@ def spec_fingerprint(spec: SecuritySpec | None) -> str:
     version stamp rather than an import)."""
     if spec is None:
         return "mozilla-default"
-    payload = json.dumps(_canonical(spec), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_hex(json.dumps(_canonical(spec), sort_keys=True))
 
 
 def cache_key(task: VetTask, spec: SecuritySpec | None) -> str:
@@ -283,7 +282,7 @@ def cache_key(task: VetTask, spec: SecuritySpec | None) -> str:
         {
             "engine": ENGINE_VERSION,
             "repro": repro.__version__,
-            "source": hashlib.sha256(task.source.encode("utf-8")).hexdigest(),
+            "source": sha256_hex(task.source),
             "k": task.k,
             "runs": task.runs,
             "spec": spec_fingerprint(spec),
@@ -293,9 +292,7 @@ def cache_key(task: VetTask, spec: SecuritySpec | None) -> str:
             "recover": task.recover,
             "prefilter": task.prefilter,
             "baseline": (
-                hashlib.sha256(
-                    task.baseline_source.encode("utf-8")
-                ).hexdigest()
+                sha256_hex(task.baseline_source)
                 if task.baseline_source is not None
                 else None
             ),
@@ -305,7 +302,7 @@ def cache_key(task: VetTask, spec: SecuritySpec | None) -> str:
         },
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_hex(payload)
 
 
 def _cache_max_entries(override: int | None) -> int | None:

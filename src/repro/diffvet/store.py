@@ -27,17 +27,13 @@ history, and ``max_chains`` puts an LRU bound on the catalog so a
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.lazy import sha256_hex
 from repro.store import FsckReport, JsonStore, fsck_store
-
-
-def _source_sha(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ class VersionStore:
         # hash the identity so distinct names can never collide (or
         # escape the directory).
         slug = re.sub(r"[^A-Za-z0-9._-]+", "_", name)[:48] or "addon"
-        return f"{slug}-{_source_sha(name)[:12]}"
+        return f"{slug}-{sha256_hex(name)[:12]}"
 
     def _path(self, name: str) -> Path:
         return self._store.path_of(self._key(name))
@@ -152,7 +148,7 @@ class VersionStore:
         already at the head returns the head unchanged, so cache replays
         and repeated sweeps do not manufacture history.
         """
-        sha = _source_sha(source)
+        sha = sha256_hex(source)
         chain = self.chain(name)
         if chain and chain[-1].source_sha == sha:
             return chain[-1]

@@ -1,4 +1,10 @@
-"""Package re-exports that import their module on first access.
+"""Imports deferred to first use, for processes that never need them.
+
+The vetting daemon, its clients, the load generator and the spawned
+pool workers each load only what they run, so two kinds of import wait
+until they are used.
+
+**Package re-exports.**
 
 A package ``__init__`` that re-exports its submodules' names eagerly
 loads every submodule on ``import package.anything``. Packages whose
@@ -13,6 +19,10 @@ re-exports through :func:`lazy_exports` instead (PEP 562 module
 A lazily re-exported name must never also be the name of one of the
 package's submodules: importing the submodule binds it as a package
 attribute, and the module would then shadow the re-exported object.
+
+**Hashing.** ``import hashlib`` maps OpenSSL's libcrypto into the
+process (~3.7 MB). Cache keys, job ids and version-chain names all
+hash through :func:`sha256_hex`, which imports it on its first call.
 """
 
 from __future__ import annotations
@@ -40,3 +50,10 @@ def lazy_exports(package: str, exports: dict[str, str]):
         return sorted(set(namespace) | set(exports))
 
     return __getattr__, __dir__
+
+
+def sha256_hex(text: str) -> str:
+    """The hex SHA-256 digest of ``text``'s UTF-8 bytes."""
+    import hashlib
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

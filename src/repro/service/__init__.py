@@ -19,9 +19,13 @@ the machinery around them crashes.
   :class:`repro.batch.WorkerPool` (spawned workers, rebuilt on worker
   death, per-job hard deadlines that kill the wedged worker, layered
   over the cooperative :class:`repro.faults.Budget`);
-- :mod:`repro.service.daemon` — :class:`VettingService` plus its two
-  front doors (``addon-sig serve``): newline-delimited JSON-RPC on
-  stdin/stdout, or a localhost HTTP listener (stdlib-only, asyncio);
+- :mod:`repro.service.server` — :class:`VettingService` plus its two
+  front doors: newline-delimited JSON-RPC on stdin/stdout, or a
+  localhost HTTP listener (stdlib-only, asyncio);
+- :mod:`repro.service.daemon` — the thin entry module (``addon-sig
+  serve``, ``python -m repro.service.daemon``): flags only, importing
+  :mod:`repro.service.server` when it serves, because spawned pool
+  workers re-import the entry module and must not load asyncio;
 - :mod:`repro.service.client` — the blocking HTTP client the load
   generator and tests drive the daemon with;
 - :mod:`repro.service.loadgen` — the service-level chaos harness

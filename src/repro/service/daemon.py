@@ -1,437 +1,24 @@
-"""``addon-sig serve``: the long-running vetting daemon.
-
-The :class:`VettingService` glues the crash-safe layers together:
-
-- submissions go through the :class:`~repro.service.queue
-  .DurableJobQueue` (journal-then-ack, so an acknowledged submit
-  survives any later crash);
-- an asyncio scheduler feeds claimed jobs to the
-  :class:`~repro.service.supervisor.SupervisedPool`, at most one job
-  per worker slot;
-- a worker crash backs off under the shared
-  :class:`~repro.faults.RetryPolicy` and requeues the job (or
-  quarantines it as poison once its attempts are spent); a job that
-  outlives its hard deadline fails with ``budget-time``;
-- committed clean outcomes extend the service's
-  :class:`~repro.diffvet.store.VersionStore` chains (exactly once per
-  distinct source, replayed idempotently after a crash), and queued
-  updates without an explicit baseline resolve one from those chains —
-  the marketplace hot path, where most traffic is updates;
-- two front doors expose submit/status/result/cancel/stats/shutdown:
-  newline-delimited JSON-RPC on stdin/stdout, and a localhost HTTP
-  listener built directly on asyncio streams (stdlib only).
+"""``addon-sig serve``: the entry module of the long-running vetting
+daemon.
 
 Run ``python -m repro.service.daemon --dir DIR --http 0`` (or via the
 CLI: ``addon-sig serve``). The daemon prints one ``listening on``
 line and also publishes ``<dir>/daemon.json`` (pid + port, atomically)
-so load generators can discover it.
+so load generators can discover it; with ``--stdio`` it prints a
+``ready`` line on stderr and speaks JSON-RPC on stdin/stdout.
+
+This module is deliberately thin: it parses flags and hands over to
+:mod:`repro.service.server`, imported only inside :func:`main`. The
+pool's workers are *spawned*, and the spawn start method re-runs the
+parent's ``-m`` module in every worker, so whatever this module imports
+at the top, every worker loads too — asyncio, OpenSSL and the daemon's
+control plane included, none of which a worker runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import dataclasses
-import hashlib
-import json
-import os
-import random
-import signal
 import sys
-import time
-from pathlib import Path
-
-from repro.batch import VetOutcome, VetTask
-from repro.diffvet.store import VersionStore
-from repro.faults import FailureKind, RetryPolicy
-from repro.service.jobs import Job, JobState, task_from_json
-from repro.service.queue import DurableJobQueue
-from repro.service.supervisor import (
-    JobDeadlineError,
-    SupervisedPool,
-    WorkerCrashError,
-)
-
-
-class RpcError(Exception):
-    """A structured front-door error (HTTP status + machine code)."""
-
-    def __init__(self, status: int, code: str, detail: str = "") -> None:
-        super().__init__(detail or code)
-        self.status = status
-        self.code = code
-        self.detail = detail
-
-    def to_json(self) -> dict:
-        return {"error": self.code, "detail": self.detail}
-
-
-def _source_sha(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-class VettingService:
-    """The daemon's core: durable queue + supervised pool + stores."""
-
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        workers: int = 2,
-        spec=None,
-        timeout: float | None = None,
-        retry: RetryPolicy | None = None,
-        fsync: bool = True,
-        max_chains: int | None = None,
-    ) -> None:
-        self.directory = Path(directory)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.queue = DurableJobQueue(
-            self.directory, max_attempts=self.retry.max_attempts, fsync=fsync
-        )
-        self.pool = SupervisedPool(workers, spec=spec, timeout=timeout)
-        self.versions = VersionStore(self.directory, max_chains=max_chains)
-        self._rng = random.Random(0xC0FFEE)
-        self._running = False
-        self._scheduler_task: asyncio.Task | None = None
-        self._job_tasks: set[asyncio.Task] = set()
-        self._wake = asyncio.Event()
-        self._stopped = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.pool.workers)
-        self.started_at = time.monotonic()
-        # Crash healing: a DONE job whose version record was lost in
-        # the commit→record window is re-recorded (idempotently) here.
-        for job in self.queue.jobs():
-            if job.state is JobState.DONE:
-                outcome_data = self.queue.result(job.id)
-                if outcome_data is not None:
-                    self._record_version(
-                        job.task, VetOutcome.from_json(outcome_data)
-                    )
-
-    # -- scheduling ----------------------------------------------------
-
-    async def start(self) -> None:
-        self.pool.start()
-        self._running = True
-        self._scheduler_task = asyncio.create_task(self._scheduler())
-
-    async def stop(self, *, grace: float = 10.0) -> None:
-        """Graceful stop: no new claims, brief wait for in-flight jobs
-        (abandoned ones are requeued by the next start's replay), then
-        journal compaction."""
-        self._running = False
-        self._wake.set()
-        if self._scheduler_task is not None:
-            self._scheduler_task.cancel()
-            try:
-                await self._scheduler_task
-            except asyncio.CancelledError:
-                pass
-        if self._job_tasks:
-            await asyncio.wait(self._job_tasks, timeout=grace)
-        for task in self._job_tasks:
-            task.cancel()
-        self.pool.shutdown()
-        self.queue.compact()
-        self.queue.close()
-        self._stopped.set()
-
-    async def wait_stopped(self) -> None:
-        await self._stopped.wait()
-
-    async def _scheduler(self) -> None:
-        while self._running:
-            await self._slots.acquire()
-            if not self._running:
-                self._slots.release()
-                return
-            # Clear before claiming: a submit that lands after the clear
-            # sets the event, so a failed claim cannot sleep through it.
-            self._wake.clear()
-            job = self.queue.claim()
-            if job is None:
-                self._slots.release()
-                await self._wake.wait()
-                continue
-            task = asyncio.create_task(self._run_job(job))
-            self._job_tasks.add(task)
-            task.add_done_callback(self._job_tasks.discard)
-
-    def _resolve_baseline(self, task: VetTask) -> VetTask:
-        """The service shape of differential vetting: an update with no
-        explicit baseline diffs against the addon's recorded head
-        version (unless this exact source *is* the head — a
-        resubmission)."""
-        if task.baseline_source is not None:
-            return task
-        head = self.versions.baseline(task.name)
-        if head is None or head.source_sha == _source_sha(task.source):
-            return task
-        return dataclasses.replace(
-            task,
-            baseline_source=head.source,
-            baseline_signature_text=head.signature_text,
-        )
-
-    async def _run_job(self, job: Job) -> None:
-        try:
-            try:
-                outcome = await self.pool.run(self._resolve_baseline(job.task))
-            except WorkerCrashError as exc:
-                # Back off (shared capped-exponential policy) *before*
-                # requeueing — once the job is back in the pending queue
-                # the scheduler may claim it immediately. A daemon death
-                # during the sleep replays the job as mid-run, which the
-                # restart requeues anyway.
-                if self.queue.max_attempts > job.attempts:
-                    await asyncio.sleep(
-                        self.retry.delay(job.attempts, self._rng)
-                    )
-                self.queue.crashed(job.id, str(exc))
-                return
-            except JobDeadlineError as exc:
-                self.queue.fail(job.id, FailureKind.BUDGET_TIME, str(exc))
-                return
-            committed = self.queue.commit_result(job.id, outcome.to_json())
-            if committed:
-                self._record_version(job.task, outcome)
-        except Exception as exc:  # supervisor bug: fail, never wedge
-            self.queue.fail(
-                job.id, FailureKind.INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        finally:
-            self._slots.release()
-            self._wake.set()
-
-    def _record_version(self, task: VetTask, outcome: VetOutcome) -> None:
-        """Advance the addon's version chain — exactly once per distinct
-        source, so the crash-recovery replay (which re-walks every DONE
-        job) cannot manufacture duplicate links."""
-        if not outcome.ok or outcome.degraded:
-            return
-        sha = _source_sha(task.source)
-        if any(
-            link.source_sha == sha for link in self.versions.chain(task.name)
-        ):
-            return
-        self.versions.record(
-            task.name,
-            task.source,
-            outcome.signature_text,
-            verdict=outcome.verdict,
-            diff_verdict=outcome.diff_verdict,
-        )
-
-    # -- the RPC surface (shared by both front doors) ------------------
-
-    async def rpc(self, method: str, params: dict) -> dict:
-        if method == "submit":
-            return self._rpc_submit(params)
-        if method == "status":
-            return self._require_job(params).status_json()
-        if method == "result":
-            job = self._require_job(params)
-            outcome = self.queue.result(job.id)
-            if outcome is None:
-                raise RpcError(
-                    409, "not-done",
-                    f"job {job.id} is {job.state}; no committed result",
-                )
-            return {"id": job.id, "outcome": outcome}
-        if method == "cancel":
-            job = self._require_job(params)
-            return {"id": job.id, "cancelled": self.queue.cancel(job.id)}
-        if method == "stats":
-            return self.stats()
-        if method == "shutdown":
-            asyncio.get_running_loop().call_soon(
-                lambda: asyncio.ensure_future(self.stop())
-            )
-            return {"stopping": True}
-        raise RpcError(404, "unknown-method", method)
-
-    def _rpc_submit(self, params: dict) -> dict:
-        data = params.get("task")
-        if not isinstance(data, dict) or "source" not in data:
-            raise RpcError(400, "bad-task", "params.task.source is required")
-        data.setdefault("name", "addon")
-        try:
-            task = task_from_json(data)
-        except Exception as exc:
-            raise RpcError(400, "bad-task", str(exc)) from exc
-        job_id = params.get("job_id")
-        if job_id is not None and not isinstance(job_id, str):
-            raise RpcError(400, "bad-job-id", "job_id must be a string")
-        job = self.queue.submit(task, job_id=job_id)
-        self._wake.set()
-        return job.status_json()
-
-    def _require_job(self, params: dict) -> Job:
-        job_id = params.get("job_id")
-        job = self.queue.get(job_id) if isinstance(job_id, str) else None
-        if job is None:
-            raise RpcError(404, "unknown-job", str(job_id))
-        return job
-
-    def stats(self) -> dict:
-        return {
-            "uptime_s": round(time.monotonic() - self.started_at, 3),
-            "pid": os.getpid(),
-            "queue": self.queue.stats(),
-            "pool": self.pool.stats(),
-            "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "base_delay_s": self.retry.base_delay,
-                "max_delay_s": self.retry.max_delay,
-            },
-        }
-
-
-# ----------------------------------------------------------------------
-# Front door: localhost HTTP over asyncio streams
-
-
-_HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                 409: "Conflict", 500: "Internal Server Error"}
-
-#: path prefix → RPC method for the GET/POST convenience routes.
-_HTTP_ROUTES = {
-    ("POST", "submit"): "submit",
-    ("GET", "status"): "status",
-    ("GET", "result"): "result",
-    ("POST", "cancel"): "cancel",
-    ("GET", "stats"): "stats",
-    ("POST", "shutdown"): "shutdown",
-}
-
-
-class HttpFrontDoor:
-    """A minimal, dependency-free HTTP/1.1 JSON front door."""
-
-    def __init__(self, service: VettingService, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        self.service = service
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-
-    async def start(self) -> int:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            status, payload = await self._respond(reader)
-        except Exception as exc:  # a broken request must not kill the loop
-            status, payload = 500, {"error": "internal", "detail": str(exc)}
-        try:
-            body = json.dumps(payload).encode("utf-8")
-            reason = _HTTP_REASONS.get(status, "OK")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("ascii") + body)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, {"error": "bad-request"}
-        verb, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
-        segments = [s for s in path.split("/") if s]
-        if not segments:
-            return 400, {"error": "bad-request"}
-        method = _HTTP_ROUTES.get((verb, segments[0]))
-        if method is None:
-            return 404, {"error": "unknown-route", "detail": path}
-        params: dict = {}
-        if body:
-            try:
-                params = json.loads(body)
-                if not isinstance(params, dict):
-                    raise ValueError("body must be a JSON object")
-            except ValueError as exc:
-                return 400, {"error": "bad-json", "detail": str(exc)}
-        if len(segments) > 1:
-            params.setdefault("job_id", segments[1])
-        try:
-            return 200, await self.service.rpc(method, params)
-        except RpcError as exc:
-            return exc.status, exc.to_json()
-
-
-# ----------------------------------------------------------------------
-# Front door: newline-delimited JSON-RPC on stdin/stdout
-
-
-async def serve_stdio(service: VettingService) -> None:
-    """Speak newline-delimited JSON-RPC on stdin/stdout: each request
-    line ``{"id": ..., "method": ..., "params": {...}}`` gets exactly
-    one response line. EOF on stdin stops the service."""
-    loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
-    await loop.connect_read_pipe(
-        lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
-    )
-
-    def respond(payload: dict) -> None:
-        sys.stdout.write(json.dumps(payload) + "\n")
-        sys.stdout.flush()
-
-    while True:
-        line = await reader.readline()
-        if not line:
-            break
-        try:
-            request = json.loads(line)
-            method = request.get("method")
-            params = request.get("params") or {}
-            request_id = request.get("id")
-        except ValueError:
-            respond({"id": None, "error": {"error": "bad-json"}})
-            continue
-        try:
-            result = await service.rpc(str(method), params)
-            respond({"id": request_id, "result": result})
-        except RpcError as exc:
-            respond({"id": request_id, "error": exc.to_json()})
-        if method == "shutdown":
-            break
-    await service.stop()
-
-
-# ----------------------------------------------------------------------
-# Entry point
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,49 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _amain(arguments: argparse.Namespace) -> int:
-    from repro.store import atomic_write_json
-
-    retry = RetryPolicy(max_attempts=max(1, arguments.max_attempts))
-    service = VettingService(
-        arguments.dir,
-        workers=arguments.workers,
-        timeout=arguments.timeout,
-        retry=retry,
-        fsync=not arguments.no_fsync,
-        max_chains=arguments.max_chains,
-    )
-    await service.start()
-
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(service.stop())
-            )
-        except (NotImplementedError, RuntimeError):
-            pass
-
-    recovery = service.queue.recovery
-    if arguments.stdio and arguments.http is None:
-        print(json.dumps({"ready": True, "recovery": recovery}),
-              file=sys.stderr, flush=True)
-        await serve_stdio(service)
-        return 0
-
-    door = HttpFrontDoor(service, port=arguments.http or 0)
-    port = await door.start()
-    atomic_write_json(
-        Path(arguments.dir) / "daemon.json",
-        {"pid": os.getpid(), "port": port, "recovery": recovery},
-    )
-    print(f"listening on 127.0.0.1:{port}", flush=True)
-    await service.wait_stopped()
-    await door.close()
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
+    import asyncio
+
+    from repro.service.server import _amain
+
     arguments = build_parser().parse_args(argv)
     if arguments.http is None and not arguments.stdio:
         arguments.stdio = True  # default front door: stdin JSON-RPC

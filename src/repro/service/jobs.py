@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.batch import VetTask
+from repro.lazy import sha256_hex
 
 
 class JobState(str, enum.Enum):
@@ -61,9 +61,7 @@ def derive_job_id(name: str, source: str, nonce: str = "") -> str:
     """A deterministic job id from the submission itself, so a client
     that re-submits after a connection loss (or a daemon restart) names
     the *same* job and cannot create a duplicate."""
-    digest = hashlib.sha256(
-        f"{name}\x00{source}\x00{nonce}".encode()
-    ).hexdigest()
+    digest = sha256_hex(f"{name}\x00{source}\x00{nonce}")
     return f"job-{digest[:20]}"
 
 

@@ -19,27 +19,27 @@ message-passing. This package assembles such a directory into one
 - :mod:`repro.webext.pipeline` — the bundle front end: the program set,
   environment, default spec and sender-guard pass that
   :func:`repro.api.vet` runs its one pipeline with.
+
+The re-exports resolve on first access (:mod:`repro.lazy`), so a
+process that only builds or carries bundle text imports
+:mod:`repro.webext.loader` (and the manifest model) without loading
+the JavaScript front end and IR behind :mod:`repro.webext.lowering`.
 """
 
-from repro.webext.loader import (
-    ExtensionBundle,
-    bundle_from_dir,
-    bundle_from_text,
-    is_bundle_text,
-    load_source,
-)
-from repro.webext.lowering import LoweredExtension, lower_extension
-from repro.webext.manifest import ContentScript, ExtensionManifest, ManifestError
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ContentScript",
-    "ExtensionBundle",
-    "ExtensionManifest",
-    "LoweredExtension",
-    "ManifestError",
-    "bundle_from_dir",
-    "bundle_from_text",
-    "is_bundle_text",
-    "load_source",
-    "lower_extension",
-]
+_EXPORTS = {
+    "ExtensionBundle": "repro.webext.loader",
+    "bundle_from_dir": "repro.webext.loader",
+    "bundle_from_text": "repro.webext.loader",
+    "is_bundle_text": "repro.webext.loader",
+    "load_source": "repro.webext.loader",
+    "LoweredExtension": "repro.webext.lowering",
+    "lower_extension": "repro.webext.lowering",
+    "ContentScript": "repro.webext.manifest",
+    "ExtensionManifest": "repro.webext.manifest",
+    "ManifestError": "repro.webext.manifest",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

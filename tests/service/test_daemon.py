@@ -2,14 +2,16 @@
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 from repro.batch import VetTask
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import RpcError, VettingService
+from repro.service.server import RpcError, VettingService
 from repro.service.jobs import derive_job_id
 from repro.service.loadgen import DaemonHandle
+from tests.service.stdio_daemon import StdioDaemon
 
 pytestmark = pytest.mark.service
 
@@ -77,12 +79,49 @@ class TestHttpFrontDoor:
         assert set(stats) >= {"queue", "pool"}
         assert stats["queue"]["states"].get("done", 0) >= 2
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+            b"POST /submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+            b"POST /submit HTTP/1.1\r\nContent-Length: 40\r\n\r\n{}",
+        ],
+        ids=["not-a-number", "negative", "short-body"],
+    )
+    def test_bad_body_length_is_a_typed_400(self, daemon, request_bytes):
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(request_bytes)
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400", response
+        assert json.loads(body)["error"] == "bad-request"
+        assert ServiceClient(daemon.port).stats()["pid"] == daemon.process.pid
+
     def test_discovery_file_is_published(self, daemon):
         data = json.loads(
             (daemon.directory / "daemon.json").read_text("utf-8")
         )
         assert data["port"] == daemon.port
         assert data["pid"] == daemon.process.pid
+
+
+class TestStdioFrontDoor:
+    def test_non_object_requests_get_typed_errors(self, tmp_path):
+        with StdioDaemon(tmp_path) as daemon:
+            reply = daemon.send(b"[1, 2]")
+            assert reply["id"] is None
+            assert reply["error"]["error"] == "bad-json"
+            reply = daemon.send(
+                b'{"id": 1, "method": "submit", "params": 5}'
+            )
+            assert reply["id"] == 1
+            assert reply["error"]["error"] == "bad-json"
+            reply = daemon.send(b"{not json")
+            assert reply["error"]["error"] == "bad-json"
+            assert daemon.call("stats")["pid"] == daemon.process.pid
 
 
 @pytest.mark.faults

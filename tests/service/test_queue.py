@@ -10,6 +10,7 @@ import pytest
 from repro.batch import VetTask
 from repro.faults import FailureKind
 from repro.service import DurableJobQueue, JobState
+from repro.service.jobs import derive_job_id
 
 pytestmark = pytest.mark.service
 
@@ -99,6 +100,16 @@ class TestCrashRetryAndPoison:
 
 
 class TestReplay:
+    def test_job_ids_are_stable_across_releases(self):
+        # Journals written by earlier releases name jobs by these ids;
+        # a resubmission must still find its job after an upgrade.
+        source = 'var x = "é";'
+        assert derive_job_id("my-addon", source) == "job-55e16e2b976f6b83eeaf"
+        assert (
+            derive_job_id("my-addon", source, "retry-1")
+            == "job-c7cd8842698b04986fbd"
+        )
+
     def test_replay_restores_every_state(self, tmp_path):
         queue = _queue(tmp_path)
         done = queue.submit(_task("done-addon", "var a = 1;"))

@@ -1,22 +1,26 @@
 """The control plane (batch engine, vetting service, version store)
 imports no analysis package: the daemon, its clients and the load
-generator never load the analyzer; pool workers do, when they boot."""
+generator never load the analyzer; pool workers do, when they boot.
+
+Each service process also loads only what it runs: spawned workers map
+no OpenSSL, and a client that builds tasks loads neither OpenSSL,
+asyncio nor the JavaScript front end."""
 
 import importlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import repro
+from tests.service.stdio_daemon import StdioDaemon, source_env
 
 CONTROL_PLANE = (
     "repro.batch",
     "repro.service.client",
     "repro.service.daemon",
+    "repro.service.server",
     "repro.service.loadgen",
     "repro.diffvet.store",
 )
@@ -26,38 +30,99 @@ ANALYSIS_PACKAGES = (
     "webext", "browser",
 )
 
+#: Module names for OpenSSL's bindings and asyncio on every supported
+#: Python (the builtin hash modules were renamed in 3.12, so they are
+#: not named here).
+HEAVY_STDLIB = ("_hashlib", "_ssl", "asyncio")
 
-def test_control_plane_imports_no_analysis_package():
-    code = "\n".join(
-        [f"import {module}" for module in CONTROL_PLANE]
-        + [
-            "import json, sys",
-            "print(json.dumps(sorted(sys.modules)))",
-        ]
-    )
-    source_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [source_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+
+def _loaded_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter and return ``sys.modules``."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     result = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env, check=True, timeout=60,
+        capture_output=True, text=True, env=source_env(), check=True,
+        timeout=60,
     )
-    loaded = json.loads(result.stdout)
-    for module in CONTROL_PLANE:
-        assert module in loaded
-    leaked = [
+    return json.loads(result.stdout)
+
+
+def _analysis_modules(loaded: list[str]) -> list[str]:
+    return [
         name for name in loaded
         if any(
             name == f"repro.{package}" or name.startswith(f"repro.{package}.")
             for package in ANALYSIS_PACKAGES
         )
     ]
+
+
+def test_control_plane_imports_no_analysis_package():
+    loaded = _loaded_modules(
+        "\n".join(f"import {module}" for module in CONTROL_PLANE)
+    )
+    for module in CONTROL_PLANE:
+        assert module in loaded
+    leaked = _analysis_modules(loaded)
     assert leaked == [], f"control plane loaded analysis modules: {leaked}"
 
 
-@pytest.mark.parametrize("package", ["repro.diffvet", "repro.evaluation"])
+@pytest.mark.service
+def test_building_tasks_loads_no_openssl_asyncio_or_front_end():
+    loaded = _loaded_modules(
+        "import repro.batch\n"
+        "import repro.service.jobs\n"
+        "import repro.corpusgen.generator\n"
+        "from repro.batch import VetTask\n"
+        "from repro.service.jobs import task_to_json\n"
+        "addons = repro.corpusgen.generator.generate_corpus(20, 0)\n"
+        "for addon in addons:\n"
+        "    task_to_json(VetTask(name=addon.name, source=addon.source))\n"
+    )
+    assert "repro.webext.loader" in loaded, "no bundle was generated"
+    assert [name for name in HEAVY_STDLIB if name in loaded] == []
+    leaked = set(_analysis_modules(loaded)) - {
+        "repro.webext", "repro.webext.loader", "repro.webext.manifest",
+    }
+    assert sorted(leaked) == []
+
+
+@pytest.mark.service
+@pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="needs /proc/<pid>/maps"
+)
+def test_spawned_workers_map_no_openssl(tmp_path):
+    from repro.corpusgen.generator import generate_corpus, generate_updates
+    from repro.webext.loader import is_bundle_text
+
+    addons = generate_corpus(20, 0)
+    single = next(a for a in addons if not is_bundle_text(a.source))
+    bundle = next(a for a in addons if is_bundle_text(a.source))
+    pair = generate_updates(1, 0)[0]
+    tasks = [
+        {"name": single.name, "source": single.source},
+        {"name": pair.name, "source": pair.new_source,
+         "baseline_source": pair.old_source,
+         "baseline_signature_text": pair.old_expected},
+        {"name": bundle.name, "source": bundle.source},
+    ]
+    with StdioDaemon(tmp_path, workers=1) as daemon:
+        ids = [daemon.call("submit", task=task)["id"] for task in tasks]
+        assert [s["state"] for s in daemon.wait(ids)] == ["done"] * 3
+        outcomes = [daemon.call("result", job_id=i)["outcome"] for i in ids]
+        assert all(outcome["ok"] for outcome in outcomes), outcomes
+        assert outcomes[1]["diff_verdict"] is not None
+        pids = daemon.call("stats")["pool"]["worker_pids"]
+        assert pids
+        for pid in pids:
+            maps = Path(f"/proc/{pid}/maps").read_text()
+            mapped = [lib for lib in ("libssl", "libcrypto") if lib in maps]
+            assert mapped == [], f"worker {pid} maps {mapped}"
+
+
+@pytest.mark.parametrize(
+    "package", ["repro.diffvet", "repro.evaluation", "repro.webext"]
+)
 def test_lazy_reexports_are_the_defining_modules_objects(package):
     module = importlib.import_module(package)
     for name in module.__all__:
