@@ -443,6 +443,10 @@ class Interpreter:
             )
         finally:
             drop_merge_memo()
+            # The compiled closures capture bound methods of ``self``:
+            # dropping them breaks that reference cycle, so reference
+            # counting frees the run's working set (no cyclic garbage).
+            self._compiled.clear()
 
     def _salvage(self, kind: FailureKind, detail: str) -> None:
         """Finish a budget-tripped run in a usable, flagged form.

@@ -322,17 +322,21 @@ def vet(
                 prefiltered=True,
                 prefilter_decision=decision,
             )
+    # Keep only what the later phases need: dropping the program set
+    # frees the parse trees as soon as they are lowered.
+    ast_nodes = program_set.ast_nodes
+    environment = program_set.environment
+    post_inference = program_set.post_inference
     program = program_set.lower()
-    result = analyze(
-        program, program_set.environment(), k=k, budget=budget, salvage=True
-    )
+    del program_set
+    result = analyze(program, environment(), k=k, budget=budget, salvage=True)
     degradations.extend(result.degradations)
     after_p1 = time.perf_counter()
     pdg = build_pdg(result)
     after_p2 = time.perf_counter()
     detail = infer_detail(result, pdg, resolved_spec)
-    if program_set.post_inference is not None:
-        detail = program_set.post_inference(result, pdg, detail, counters)
+    if post_inference is not None:
+        detail = post_inference(result, pdg, detail, counters)
     if degradations:
         detail = widen_detail(detail, resolved_spec)
     after_p3 = time.perf_counter()
@@ -350,7 +354,7 @@ def vet(
         result=result,
         pdg=pdg,
         detail=detail,
-        ast_nodes=program_set.ast_nodes,
+        ast_nodes=ast_nodes,
         comparison=comparison,
         unknown_calls=result.unknown_callees,
         phase_times=PhaseTimes(

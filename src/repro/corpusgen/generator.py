@@ -269,12 +269,17 @@ def mutate_dead_code(blueprint: Blueprint, rng: random.Random) -> Blueprint:
     always in the *tail* region (blocks rendering after every fragment).
 
     Signature-preserving because dead blocks touch only their own fresh
-    names and never call anything. Tail-only because the change-surface
-    certificate diffs top-level statements positionally: churn in the
-    middle shifts every later statement into the changed region, and if
-    that region holds control flow the certificate (soundly) refuses —
-    tail churn keeps the shifted region straight-line, which is what
-    makes churn-only update pairs certifiable."""
+    names and never call anything. Tail-only because
+    :meth:`Blueprint.render` interleaves dead blocks by index (block
+    ``i`` renders before fragment ``i``): adding or dropping a block
+    there moves every later block next to a different fragment. The
+    change-surface certificate aligns top-level statements with
+    :class:`difflib.SequenceMatcher`, and across such a shift the
+    alignment reports fragments as changed; the padding fragments are
+    loops, so the certificate (soundly) refuses. Tail churn leaves every
+    earlier statement in place, so the changed region is straight-line
+    dead code, which is what makes churn-only update pairs
+    certifiable."""
     names = _Names(rng, start=blueprint.next_id)
     dead = list(blueprint.dead)
     tail_start = len(blueprint.fragments)

@@ -75,6 +75,9 @@ _EMPTY_ROOT = _BitmapNode(0, [])
 # when they end (:func:`drop_merge_memo`) instead of pinning their tries.
 _MERGE_MEMO: dict = {}
 _MERGE_MEMO_OLD: dict = {}
+# Entries per generation. Smaller sizes trade merge work for memory: a
+# sweep of 2^10..2^17 (DESIGN.md, "State representation: memo
+# lifetime") found none that saves memory without costing P1 time.
 _MEMO_LIMIT = 1 << 17
 
 

@@ -41,7 +41,8 @@ class FailureKind(enum.Enum):
     reports, and table footers.
     """
 
-    #: The source is not syntactically valid in the supported subset.
+    #: The source is not syntactically valid in the supported subset,
+    #: or an extension bundle or its manifest is malformed.
     PARSE_ERROR = "parse-error"
     #: The source uses constructs outside the analyzable ES5 subset.
     UNSUPPORTED_SYNTAX = "unsupported-syntax"
@@ -213,8 +214,8 @@ def classify_exception(exc: BaseException) -> FailureKind:
     """Map a raised exception to its taxonomy kind.
 
     Budget exceptions carry their kind directly (``exc.kind``); frontend
-    errors map by type; pool breakage maps to ``worker-crash``; anything
-    else is ``internal``.
+    errors and rejected bundles or manifests map by type; pool breakage
+    maps to ``worker-crash``; anything else is ``internal``.
     """
     kind = getattr(exc, "kind", None)
     if isinstance(kind, FailureKind):
@@ -223,10 +224,11 @@ def classify_exception(exc: BaseException) -> FailureKind:
     from concurrent.futures.process import BrokenProcessPool
 
     from repro.js.errors import FrontendError, UnsupportedSyntaxError
+    from repro.webext.manifest import ManifestError
 
     if isinstance(exc, UnsupportedSyntaxError):
         return FailureKind.UNSUPPORTED_SYNTAX
-    if isinstance(exc, FrontendError):
+    if isinstance(exc, (FrontendError, ManifestError)):
         return FailureKind.PARSE_ERROR
     if isinstance(exc, BrokenProcessPool):
         return FailureKind.WORKER_CRASH

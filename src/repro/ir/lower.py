@@ -894,13 +894,16 @@ def _collect_declarations(
     var_names: list[str] = []
     seen: set[str] = set()
     function_decls: list[ast.FunctionDeclaration] = []
-
-    def visit_statement(node: ast.Node) -> None:
+    # Pre-order walk on an explicit stack (children pushed reversed):
+    # a self-recursive closure would hold itself in a reference cycle.
+    stack: list[ast.Node] = list(reversed(statements))
+    while stack:
+        node = stack.pop()
         if isinstance(node, ast.FunctionDeclaration):
             function_decls.append(node)
-            return
-        if isinstance(node, (ast.FunctionExpression,)):
-            return
+            continue
+        if isinstance(node, ast.FunctionExpression):
+            continue
         if isinstance(node, ast.VariableDeclaration):
             for declarator in node.declarations:
                 if declarator.name not in seen:
@@ -910,12 +913,5 @@ def _collect_declarations(
             if node.variable not in seen:
                 seen.add(node.variable)
                 var_names.append(node.variable)
-        for child in node.children():
-            if not isinstance(child, (ast.FunctionDeclaration, ast.FunctionExpression)):
-                visit_statement(child)
-            elif isinstance(child, ast.FunctionDeclaration):
-                function_decls.append(child)
-
-    for statement in statements:
-        visit_statement(statement)
+        stack.extend(reversed(list(node.children())))
     return var_names, function_decls

@@ -118,7 +118,7 @@ def is_bundle_text(source: str) -> bool:
 def bundle_from_text(source: str) -> ExtensionBundle:
     try:
         raw = json.loads(source)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:  # bad or too deep
         raise ManifestError(f"malformed extension bundle: {error}") from error
     if not isinstance(raw, dict) or BUNDLE_MAGIC not in raw:
         raise ManifestError("not an extension bundle")

@@ -46,7 +46,7 @@ class ExtensionManifest:
     def from_text(cls, text: str) -> "ExtensionManifest":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, RecursionError) as error:  # bad or too deep
             raise ManifestError(f"manifest.json is not valid JSON: {error}") from error
         if not isinstance(raw, dict):
             raise ManifestError("manifest.json must be a JSON object")
