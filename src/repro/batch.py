@@ -44,25 +44,33 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import random
 import signal
+import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import repro
 from repro.faults import Budget, FailureKind, RetryPolicy, classify_exception
-from repro.lazy import sha256_hex
+from repro.lazy import lazy_exports, sha256_hex
 from repro.perf import median_report
 from repro.store import JsonStore
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
     from repro.signatures.spec import SecuritySpec
+
+# The process pool (``concurrent.futures.process`` and
+# ``multiprocessing``, ~2.5 MB) loads when a pool starts, never in a
+# client that only builds tasks. :meth:`WorkerPool.start` reads the
+# executor class through this module, so a test can substitute it.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"ProcessPoolExecutor": "concurrent.futures"}
+)
 
 #: Bump when the pipeline's observable output changes (invalidates every
 #: cached outcome, together with ``repro.__version__``).
@@ -650,7 +658,9 @@ class WorkerPool:
         now rather than when tasks arrive."""
         if self._executor is not None:
             return
-        executor = ProcessPoolExecutor(
+        import multiprocessing
+
+        executor = sys.modules[__name__].ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=multiprocessing.get_context(self.start_method),
             initializer=_worker_init,
@@ -916,6 +926,7 @@ def _run_pool(
     counter (how many times a death stranded it); :func:`summarize`
     folds those into totals and a per-attempt histogram.
     """
+    from concurrent.futures import TimeoutError as FutureTimeoutError
     from concurrent.futures.process import BrokenProcessPool
 
     # Load the pipeline here, once, so every forked worker inherits it

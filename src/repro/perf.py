@@ -9,7 +9,8 @@ Small pieces every layer can agree on without import cycles:
   (fixpoint steps, states created, joins, PDG edges, ...). Counters are
   pure observation: they never feed back into analysis decisions, so
   enabling them cannot change any signature;
-- :func:`peak_rss_mb` — the process's memory high-water mark;
+- :func:`peak_rss_mb` — the process's memory high-water mark, and
+  :func:`vm_hwm_mb` another live process's;
 - :func:`rate` and :func:`tally` — the hit rates and breakdowns the
   bench reports carry.
 """
@@ -104,17 +105,31 @@ class Counters(dict):
         return merged
 
 
-def peak_rss_mb() -> float | None:
-    """High-water RSS of this process plus its (reaped) children, MB."""
+def peak_rss_mb(*, children: bool = True) -> float | None:
+    """High-water RSS of this process plus (unless ``children`` is
+    false) its reaped children, MB."""
     try:
         import resource
     except ImportError:  # non-POSIX
         return None
-    peak_kb = sum(
-        resource.getrusage(who).ru_maxrss
-        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-    )
+    who = [resource.RUSAGE_SELF]
+    if children:
+        who.append(resource.RUSAGE_CHILDREN)
+    peak_kb = sum(resource.getrusage(w).ru_maxrss for w in who)
     return round(peak_kb / 1024.0, 2)
+
+
+def vm_hwm_mb(pid: int) -> float | None:
+    """High-water RSS (``VmHWM``) of the live process ``pid``, MB, or
+    ``None`` where ``/proc`` is absent or the process is gone."""
+    try:
+        with open(f"/proc/{pid}/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 2)
+    except OSError:
+        pass
+    return None
 
 
 def rate(hits: int, total: int) -> float | None:

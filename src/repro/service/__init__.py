@@ -25,7 +25,8 @@ the machinery around them crashes.
 - :mod:`repro.service.daemon` — the thin entry module (``addon-sig
   serve``, ``python -m repro.service.daemon``): flags only, importing
   :mod:`repro.service.server` when it serves, because spawned pool
-  workers re-import the entry module and must not load asyncio;
+  workers re-import the entry module and must not load asyncio, and
+  keeping OpenSSL out of the daemon (``block_openssl``);
 - :mod:`repro.service.client` — the blocking HTTP client the load
   generator and tests drive the daemon with;
 - :mod:`repro.service.loadgen` — the service-level chaos harness

@@ -12,7 +12,8 @@ This module is deliberately thin: it parses flags and hands over to
 pool's workers are *spawned*, and the spawn start method re-runs the
 parent's ``-m`` module in every worker, so whatever this module imports
 at the top, every worker loads too — asyncio, OpenSSL and the daemon's
-control plane included, none of which a worker runs.
+control plane included, none of which a worker runs. :func:`main`
+also keeps OpenSSL out of the daemon itself (:func:`block_openssl`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def block_openssl() -> None:
+    """Keep OpenSSL (~4 MB) out of this process: importing ``ssl`` or
+    ``_hashlib`` from now on fails, unless it is loaded already.
+
+    The daemon opens no TLS transport (its doors are stdio and plain
+    localhost HTTP), and asyncio runs without ``ssl`` when that import
+    fails. Without ``_hashlib``, ``hashlib`` hashes job ids with the
+    interpreter's built-in SHA-256: the same digests."""
+    for module in ("ssl", "_hashlib"):
+        sys.modules.setdefault(module, None)
+
+
 def main(argv: list[str] | None = None) -> int:
+    block_openssl()
     import asyncio
 
     from repro.service.server import _amain

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import threading
 import zlib
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.batch import VetTask
@@ -87,9 +88,11 @@ class DurableJobQueue:
 
     # -- journal plumbing ----------------------------------------------
 
+    def _shard(self, job_id: str) -> int:
+        return zlib.crc32(job_id.encode("utf-8")) % self.shards
+
     def _journal_for(self, job_id: str) -> Journal:
-        shard = zlib.crc32(job_id.encode("utf-8")) % self.shards
-        return self._journals[shard]
+        return self._journals[self._shard(job_id)]
 
     def _log(self, record: dict) -> None:
         self._journal_for(record["job_id"]).append(record)
@@ -311,45 +314,17 @@ class DurableJobQueue:
         """Fold each shard journal down to the records that reproduce
         the current state (one submit, the attempt high-water mark, and
         the terminal event per job). Run on graceful shutdown so
-        journals do not grow with history forever."""
+        journals do not grow with history forever. Records are built
+        as each journal writes them, one at a time."""
         with self._lock:
-            per_shard: dict[int, list[dict]] = {
-                index: [] for index in range(self.shards)
-            }
-            for job in sorted(self._jobs.values(), key=lambda j: j.seq):
-                shard = zlib.crc32(job.id.encode("utf-8")) % self.shards
-                records = per_shard[shard]
-                records.append({
-                    "event": "submit",
-                    "job_id": job.id,
-                    "seq": job.seq,
-                    "task": task_to_json(job.task),
-                })
-                if job.attempts:
-                    records.append({
-                        "event": "start",
-                        "job_id": job.id,
-                        "attempt": job.attempts,
-                    })
-                if job.state is JobState.DONE:
-                    records.append({"event": "done", "job_id": job.id})
-                elif job.state is JobState.FAILED:
-                    records.append({
-                        "event": "failed",
-                        "job_id": job.id,
-                        "failure": job.failure,
-                        "error": job.error,
-                    })
-                elif job.state is JobState.CANCELLED:
-                    records.append({"event": "cancelled", "job_id": job.id})
-                elif job.state is JobState.POISONED:
-                    records.append({
-                        "event": "poisoned",
-                        "job_id": job.id,
-                        "error": job.error,
-                    })
+            jobs = sorted(self._jobs.values(), key=lambda j: j.seq)
             for index, journal in enumerate(self._journals):
-                journal.compact(per_shard[index])
+                journal.compact(
+                    record
+                    for job in jobs
+                    if self._shard(job.id) == index
+                    for record in _snapshot(job)
+                )
 
     # -- reads ---------------------------------------------------------
 
@@ -385,3 +360,28 @@ class DurableJobQueue:
                 "max_attempts": self.max_attempts,
                 "recovery": self.recovery,
             }
+
+
+def _snapshot(job: Job) -> Iterator[dict]:
+    """The journal records that replay to ``job``'s current state."""
+    yield {
+        "event": "submit",
+        "job_id": job.id,
+        "seq": job.seq,
+        "task": task_to_json(job.task),
+    }
+    if job.attempts:
+        yield {"event": "start", "job_id": job.id, "attempt": job.attempts}
+    if job.state is JobState.DONE:
+        yield {"event": "done", "job_id": job.id}
+    elif job.state is JobState.FAILED:
+        yield {
+            "event": "failed",
+            "job_id": job.id,
+            "failure": job.failure,
+            "error": job.error,
+        }
+    elif job.state is JobState.CANCELLED:
+        yield {"event": "cancelled", "job_id": job.id}
+    elif job.state is JobState.POISONED:
+        yield {"event": "poisoned", "job_id": job.id, "error": job.error}

@@ -45,6 +45,7 @@ from repro.batch import VetOutcome, VetTask
 from repro.diffvet.store import VersionStore
 from repro.faults import FailureKind, RetryPolicy
 from repro.lazy import sha256_hex
+from repro.perf import peak_rss_mb, vm_hwm_mb
 from repro.service.jobs import Job, JobState, task_from_json
 from repro.service.queue import DurableJobQueue
 from repro.service.supervisor import (
@@ -288,6 +289,15 @@ class VettingService:
             "pid": os.getpid(),
             "queue": self.queue.stats(),
             "pool": self.pool.stats(),
+            # High-water RSS: the daemon's own, and each live worker's
+            # (null where /proc is absent).
+            "memory": {
+                "daemon_maxrss_mb": peak_rss_mb(children=False),
+                "worker_hwm_mb": {
+                    str(pid): vm_hwm_mb(pid)
+                    for pid in self.pool.worker_pids()
+                },
+            },
             "retry": {
                 "max_attempts": self.retry.max_attempts,
                 "base_delay_s": self.retry.base_delay,

@@ -27,7 +27,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 #: The suffix every in-flight temporary file carries; fsck sweeps them.
 TMP_SUFFIX = ".tmp"
@@ -52,10 +55,17 @@ def fsync_dir(directory: str | os.PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(
-    path: str | os.PathLike, data: bytes, *, fsync: bool = True
-) -> None:
-    """Atomically publish ``data`` at ``path`` (parents created)."""
+@contextmanager
+def atomic_writer(
+    path: str | os.PathLike, *, fsync: bool = True
+) -> Iterator[BinaryIO]:
+    """Atomically publish what the ``with`` body writes to the yielded
+    binary handle at ``path`` (parents created).
+
+    The body streams its bytes to the temporary file, so publishing
+    costs no more memory than the body holds at once. If the body
+    raises, the temporary is removed and ``path`` keeps its previous
+    contents."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
@@ -63,7 +73,7 @@ def atomic_write_bytes(
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
             if fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -78,6 +88,14 @@ def atomic_write_bytes(
         raise
     if fsync:
         fsync_dir(target.parent)
+
+
+def atomic_write_bytes(
+    path: str | os.PathLike, data: bytes, *, fsync: bool = True
+) -> None:
+    """Atomically publish ``data`` at ``path`` (parents created)."""
+    with atomic_writer(path, fsync=fsync) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(

@@ -29,12 +29,45 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
+
+from repro.store.atomic import atomic_writer
+
+
+#: How far :meth:`Journal.repair` reads backwards per step while it
+#: looks for the last record boundary.
+_REPAIR_BLOCK = 64 * 1024
 
 
 def _frame(payload: bytes) -> bytes:
     return b"%08x %s\n" % (zlib.crc32(payload) & 0xFFFFFFFF, payload)
+
+
+def _encode(record: dict) -> bytes:
+    """One record's framed journal line."""
+    return _frame(
+        json.dumps(record, separators=(",", ":"), sort_keys=True).encode(
+            "utf-8"
+        )
+    )
+
+
+def _complete_length(handle: BinaryIO) -> int:
+    """The length of ``handle``'s file up to and including its last
+    newline: the bytes that hold complete records. Reads backwards in
+    blocks, so a torn tail costs one block of memory, not the file."""
+    position = handle.seek(0, os.SEEK_END)
+    while position > 0:
+        start = max(0, position - _REPAIR_BLOCK)
+        handle.seek(start)
+        newline = handle.read(position - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        position = start
+    return 0
 
 
 def _unframe(line: bytes) -> dict | None:
@@ -81,14 +114,12 @@ class Journal:
     def append(self, record: dict) -> None:
         """Durably append one record. When this returns, replay is
         guaranteed to surface the record (under ``fsync=True``)."""
-        payload = json.dumps(
-            record, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+        line = _encode(record)
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.repair()
             self._handle = open(self.path, "ab")
-        self._handle.write(_frame(payload))
+        self._handle.write(line)
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
@@ -102,22 +133,23 @@ class Journal:
 
     def replay(self) -> JournalReplay:
         """Read every verifiable record, oldest first, tolerating a
-        torn tail and skipping (but counting) corrupt records."""
+        torn tail and skipping (but counting) corrupt records. Reads
+        one line at a time: the records are the only copy it keeps."""
         replay = JournalReplay()
         try:
-            data = self.path.read_bytes()
+            handle = open(self.path, "rb")
         except OSError:
             return replay
-        if not data:
-            return replay
-        complete, _, tail = data.rpartition(b"\n")
-        replay.torn_tail = bool(tail)
-        for line in complete.split(b"\n") if complete else []:
-            record = _unframe(line)
-            if record is None:
-                replay.corrupt += 1
-            else:
-                replay.records.append(record)
+        with handle:
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    replay.torn_tail = True  # only the last line can be
+                    break
+                record = _unframe(line[:-1])
+                if record is None:
+                    replay.corrupt += 1
+                else:
+                    replay.records.append(record)
         return replay
 
     def repair(self) -> bool:
@@ -125,32 +157,25 @@ class Journal:
         boundary. Returns True when bytes were dropped. Must not be
         called while an append handle is open."""
         try:
-            data = self.path.read_bytes()
+            with open(self.path, "rb") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                keep = _complete_length(handle)
         except OSError:
             return False
-        if not data or data.endswith(b"\n"):
+        if keep == size:
             return False
-        complete, _, _ = data.rpartition(b"\n")
-        keep = complete + b"\n" if complete else b""
-        with open(self.path, "wb") as handle:
-            handle.write(keep)
-            handle.flush()
+        with open(self.path, "r+b") as handle:
+            handle.truncate(keep)
             if self.fsync:
                 os.fsync(handle.fileno())
         return True
 
-    def compact(self, records: list[dict]) -> None:
+    def compact(self, records: Iterable[dict]) -> None:
         """Atomically rewrite the journal to exactly ``records`` (used
-        after replay folds history into a snapshot)."""
-        from repro.store.atomic import atomic_write_bytes
-
+        after replay folds history into a snapshot). Each record is
+        written as it is framed, so compaction holds one record's bytes
+        at a time, not the whole journal."""
         self.close()
-        body = b"".join(
-            _frame(
-                json.dumps(r, separators=(",", ":"), sort_keys=True).encode(
-                    "utf-8"
-                )
-            )
-            for r in records
-        )
-        atomic_write_bytes(self.path, body, fsync=self.fsync)
+        with atomic_writer(self.path, fsync=self.fsync) as handle:
+            for record in records:
+                handle.write(_encode(record))

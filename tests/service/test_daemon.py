@@ -2,11 +2,14 @@
 
 import asyncio
 import json
+import os
 import socket
+from pathlib import Path
 
 import pytest
 
 from repro.batch import VetTask
+from repro.perf import vm_hwm_mb
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import RpcError, VettingService
 from repro.service.jobs import derive_job_id
@@ -79,6 +82,19 @@ class TestHttpFrontDoor:
         assert set(stats) >= {"queue", "pool"}
         assert stats["queue"]["states"].get("done", 0) >= 2
 
+    def test_stats_report_memory(self, daemon):
+        stats = ServiceClient(daemon.port).stats()
+        memory = stats["memory"]
+        assert memory["daemon_maxrss_mb"] > 0
+        workers = memory["worker_hwm_mb"]
+        assert sorted(workers) == sorted(
+            str(pid) for pid in stats["pool"]["worker_pids"]
+        )
+        assert workers
+        has_proc = Path("/proc/self/status").exists()
+        for hwm in workers.values():
+            assert hwm > 0 if has_proc else hwm is None
+
     @pytest.mark.parametrize(
         "request_bytes",
         [
@@ -106,6 +122,12 @@ class TestHttpFrontDoor:
         )
         assert data["port"] == daemon.port
         assert data["pid"] == daemon.process.pid
+
+
+def test_vm_hwm_is_null_without_a_proc_entry():
+    if Path("/proc/self/status").exists():
+        assert vm_hwm_mb(os.getpid()) > 0
+    assert vm_hwm_mb(2**31 - 1) is None  # above any pid_max: no entry
 
 
 class TestStdioFrontDoor:

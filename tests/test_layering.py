@@ -2,10 +2,12 @@
 imports no analysis package: the daemon, its clients and the load
 generator never load the analyzer; pool workers do, when they boot.
 
-Each service process also loads only what it runs: spawned workers map
-no OpenSSL, and a client that builds tasks loads neither OpenSSL,
-asyncio nor the JavaScript front end."""
+Each service process also loads only what it runs: neither the daemon
+nor its spawned workers map OpenSSL, and a client that builds tasks
+loads neither OpenSSL, asyncio, the process pool nor the JavaScript
+front end."""
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -34,6 +36,19 @@ ANALYSIS_PACKAGES = (
 #: Python (the builtin hash modules were renamed in 3.12, so they are
 #: not named here).
 HEAVY_STDLIB = ("_hashlib", "_ssl", "asyncio")
+
+#: What a load-generating client runs: generate addons, build their
+#: tasks and encode them for the wire.
+BUILD_TASKS = (
+    "import repro.batch\n"
+    "import repro.service.jobs\n"
+    "import repro.corpusgen.generator\n"
+    "from repro.batch import VetTask\n"
+    "from repro.service.jobs import task_to_json\n"
+    "addons = repro.corpusgen.generator.generate_corpus(20, 0)\n"
+    "for addon in addons:\n"
+    "    task_to_json(VetTask(name=addon.name, source=addon.source))\n"
+)
 
 
 def _loaded_modules(code: str) -> list[str]:
@@ -69,22 +84,67 @@ def test_control_plane_imports_no_analysis_package():
 
 @pytest.mark.service
 def test_building_tasks_loads_no_openssl_asyncio_or_front_end():
-    loaded = _loaded_modules(
-        "import repro.batch\n"
-        "import repro.service.jobs\n"
-        "import repro.corpusgen.generator\n"
-        "from repro.batch import VetTask\n"
-        "from repro.service.jobs import task_to_json\n"
-        "addons = repro.corpusgen.generator.generate_corpus(20, 0)\n"
-        "for addon in addons:\n"
-        "    task_to_json(VetTask(name=addon.name, source=addon.source))\n"
-    )
+    loaded = _loaded_modules(BUILD_TASKS)
     assert "repro.webext.loader" in loaded, "no bundle was generated"
     assert [name for name in HEAVY_STDLIB if name in loaded] == []
     leaked = set(_analysis_modules(loaded)) - {
         "repro.webext", "repro.webext.loader", "repro.webext.manifest",
     }
     assert sorted(leaked) == []
+
+
+@pytest.mark.service
+def test_building_tasks_loads_no_process_pool():
+    loaded = _loaded_modules(BUILD_TASKS)
+    assert "repro.batch" in loaded
+    pool = [
+        name for name in loaded
+        if name == "multiprocessing" or name.startswith("multiprocessing.")
+        or name == "concurrent.futures.process"
+    ]
+    assert pool == []
+
+
+@pytest.mark.service
+def test_daemon_hashes_without_openssl_and_with_the_same_digests():
+    # The megabyte string is built in the child: one argv string must
+    # stay under the kernel's 128 KB limit.
+    texts = {
+        '""': "",
+        repr("vérifié ✓ 検査 \U0001f642"): "vérifié ✓ 検査 \U0001f642",
+        '"x" * (1 << 20)': "x" * (1 << 20),
+    }
+    checks = "".join(
+        f"assert sha256_hex({code}) == "
+        f"{hashlib.sha256(text.encode('utf-8')).hexdigest()!r}\n"
+        for code, text in texts.items()
+    )
+    loaded = _loaded_modules(
+        "import sys\n"
+        "from repro.service.daemon import block_openssl\n"
+        "block_openssl()\n"
+        "from repro.lazy import sha256_hex\n" + checks +
+        "assert sys.modules['_hashlib'] is None, 'OpenSSL hashed'\n"
+    )
+    assert "hashlib" in loaded and "_ssl" not in loaded
+
+
+@pytest.mark.service
+@pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="needs /proc/<pid>/maps"
+)
+def test_stdio_daemon_maps_no_openssl(tmp_path):
+    with StdioDaemon(tmp_path, workers=1) as daemon:
+        # A submit hashes the job id; a commit hashes the source into
+        # the version store.
+        ids = [
+            daemon.call("submit", task={"name": "a", "source": source})["id"]
+            for source in ("var x = 1;", "var x = 2;")
+        ]
+        assert [s["state"] for s in daemon.wait(ids)] == ["done"] * 2
+        maps = Path(f"/proc/{daemon.process.pid}/maps").read_text()
+        mapped = [lib for lib in ("libssl", "libcrypto") if lib in maps]
+        assert mapped == []
 
 
 @pytest.mark.service
