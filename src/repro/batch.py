@@ -10,8 +10,8 @@ signature inference) is independent of every other addon's, so
   budget (fixpoint steps, cooperative wall-clock deadline, abstract
   states) *degrades* to a sound ⊤-widened signature flagged
   ``degraded``, a task wedged past its hard deadline fails as
-  ``budget-time`` and its worker is killed, a broken pool is rebuilt
-  for its stranded tasks (then salvages them in-process), and a
+  ``budget-time`` and its worker is killed, a task that kills its
+  worker when run alone is quarantined as ``poison-job``, and a
   corrupt cache entry is quarantined — nothing one addon does kills
   the batch or goes unreported (:func:`summarize` gives the per-kind
   breakdown);
@@ -45,16 +45,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import random
 import signal
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import repro
-from repro.faults import Budget, FailureKind, RetryPolicy, classify_exception
+from repro.faults import Budget, FailureKind, classify_exception
 from repro.lazy import lazy_exports, sha256_hex
 from repro.perf import median_report
 from repro.store import JsonStore
@@ -593,11 +593,13 @@ def _execute_task(
             diff_witnesses=diff_witnesses,
         )
     except Exception as exc:  # isolation: one bad addon never kills a batch
-        return VetOutcome(
-            name=task.name, ok=False,
-            failure=classify_exception(exc).value,
-            error=f"{type(exc).__name__}: {exc}",
+        return _failed(
+            task, classify_exception(exc), f"{type(exc).__name__}: {exc}"
         )
+
+
+def _failed(task: VetTask, kind: FailureKind, error: str) -> VetOutcome:
+    return VetOutcome(task.name, ok=False, failure=kind.value, error=error)
 
 
 # ----------------------------------------------------------------------
@@ -638,8 +640,8 @@ class WorkerPool:
     deadline reclaims them with :meth:`kill_workers`, and a pool that
     broke or was killed is dropped with :meth:`discard` and rebuilt by
     the next :meth:`submit`. Its callers keep only their policy:
-    :func:`_run_pool` turns pool faults into outcomes, retries and
-    salvage; :class:`repro.service.supervisor.SupervisedPool` turns them
+    :func:`_run_pool` turns pool faults into outcomes, solo reruns and
+    poison; :class:`repro.service.supervisor.SupervisedPool` turns them
     into job errors for the daemon.
 
     ``start_method`` is the one thing the callers set differently: the
@@ -651,6 +653,7 @@ class WorkerPool:
         self.workers = max(1, workers)
         self.start_method = start_method
         self.rebuilds = 0
+        self.boot_probes: list[Future] = []
         self._executor: ProcessPoolExecutor | None = None
 
     def start(self) -> None:
@@ -666,10 +669,11 @@ class WorkerPool:
             initializer=_worker_init,
         )
         # The executor starts one worker per submit while none is idle.
-        # The results are not needed: a pool that breaks while booting
-        # surfaces on the next task, as a crash.
-        for _ in range(self.workers):
-            executor.submit(os.getpid)
+        # The batch engine waits for these probes before it trusts the
+        # pool; the service lets a boot failure surface as a crash.
+        self.boot_probes = [
+            executor.submit(os.getpid) for _ in range(self.workers)
+        ]
         self._executor = executor
 
     def submit(self, fn, /, *args) -> Future:
@@ -786,7 +790,6 @@ def vet_many(
     prefilter: bool = True,
     baseline=None,
     store=None,
-    pool_retry: RetryPolicy | None = None,
 ) -> list[VetOutcome]:
     """Vet many addons, in parallel, with caching and error isolation.
 
@@ -799,11 +802,13 @@ def vet_many(
     the interpreter ever running. Results are bit-identical with the
     prefilter off.
     ``workers`` — process count; ``None`` = one per CPU (capped at the
-    task count); ``1`` = run in-process (no pool).
+    task count). ``workers=1`` and a lone cache miss run in the caller's
+    process, with no crash isolation and no hard backstop; otherwise a
+    pool of forked workers runs the misses (see :func:`_run_pool`).
     ``timeout`` — per-run wall-clock budget in seconds, enforced
     *cooperatively* inside the analysis fixpoint, so it is honored by
     in-process runs and pool workers alike. A timed-out run degrades to
-    a sound ⊤-widened signature; a hard pool-level backstop (for work
+    a sound ⊤-widened signature; in a pool, a hard backstop (for work
     wedged outside the fixpoint) yields a ``budget-time`` failure.
     ``baseline`` — approved previous versions for differential vetting:
     a :class:`~repro.diffvet.store.VersionStore` or a mapping from task
@@ -819,10 +824,6 @@ def vet_many(
     refresh recency; overflowing writes evict the stalest entries);
     ``None`` defers to ``$ADDON_SIG_CACHE_MAX_ENTRIES``, else
     unbounded.
-    ``pool_retry`` — the :class:`~repro.faults.RetryPolicy` governing
-    pool rebuilds after worker death (default: 3 attempts, exponential
-    backoff with jitter); tasks that exhaust it are salvaged with one
-    final in-process run.
 
     Returns one outcome per item, in input order. Failures are typed
     (:class:`repro.faults.FailureKind` in ``outcome.failure``) and
@@ -858,7 +859,7 @@ def vet_many(
             fresh = [(index, key, _execute_task(task, spec, timeout))
                      for index, task, key in pending]
         else:
-            fresh = _run_pool(pending, spec, worker_count, timeout, pool_retry)
+            fresh = _run_pool(pending, spec, worker_count, timeout)
         for index, key, outcome in fresh:
             # Degraded outcomes are machine/load-dependent (a deadline
             # that tripped here may not trip elsewhere): never cache.
@@ -895,134 +896,139 @@ def _hard_timeout(task: VetTask, timeout: float | None) -> float | None:
     return timeout * max(1, task.runs) + 10.0
 
 
+def _run_window(
+    pool: WorkerPool, queue: deque, spec: SecuritySpec | None,
+    timeout: float | None, limit: int,
+) -> tuple[list, list]:
+    """Run ``queue`` on ``pool``, at most ``limit`` tasks in flight,
+    until it is empty or the pool breaks (then it is discarded). Returns
+    the ``(index, key, outcome)`` results and the tasks in flight when a
+    worker died. A hard backstop that fires fails its task ``budget-time``
+    and kills the workers; the tasks that kill strands go back to ``queue``."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    results, stranded = [], []
+    in_flight: dict[Future, tuple] = {}  # future -> (index, task, key)
+    deadlines: dict[Future, float] = {}
+    broken = killed = False
+    while (queue and not broken) or in_flight:
+        while queue and not broken and len(in_flight) < limit:
+            item = queue.popleft()
+            try:
+                future = pool.submit(_execute_task, item[1], spec, timeout)
+            except BrokenProcessPool:  # broke since the last completion
+                queue.appendleft(item)
+                broken = True
+            else:
+                in_flight[future] = item
+        # Workers take tasks in submission order, so the oldest in flight
+        # run: a backstop starts as its task joins them, not when queued.
+        now = time.monotonic()
+        running = list(in_flight)[:pool.workers]
+        for future in running:
+            hard = _hard_timeout(in_flight[future][1], timeout) or 0.0
+            deadlines.setdefault(future, now + hard)
+        first = min(running, key=deadlines.get, default=None)
+        # No deadline without a timeout, nor once broken: the rest drain.
+        done, _ = wait(
+            in_flight,
+            None if broken or timeout is None
+            else max(0.0, deadlines[first] - now),
+            FIRST_COMPLETED,
+        )
+        if not done and not broken:
+            # Wedged outside the fixpoint: only a kill reclaims it.
+            index, task, key = in_flight.pop(first)
+            pool.kill_workers()
+            broken = killed = True
+            results.append((index, key, _failed(
+                task, FailureKind.BUDGET_TIME,
+                f"timeout: exceeded {timeout}s wall-clock budget",
+            )))
+        for future in done:
+            index, task, key = item = in_flight.pop(future)
+            try:
+                results.append((index, key, future.result()))
+            except BrokenProcessPool:
+                broken = True
+                (queue.appendleft if killed else stranded.append)(item)
+            except Exception as exc:  # e.g. an unpicklable result
+                results.append((index, key, _failed(
+                    task, classify_exception(exc),
+                    f"{type(exc).__name__}: {exc}",
+                )))
+    if broken:
+        pool.discard()
+    return results, stranded
+
+
 def _run_pool(
     pending: list[tuple[int, VetTask, str | None]],
     spec: SecuritySpec | None,
     worker_count: int,
     timeout: float | None,
-    policy: RetryPolicy | None = None,
 ) -> list[tuple[int, str | None, VetOutcome]]:
-    """Fan pending tasks over a :class:`WorkerPool` of forked workers.
+    """Fan pending tasks over a :class:`WorkerPool` of forked workers,
+    at most ``2 * worker_count`` in flight (:func:`_run_window`).
 
-    Failure containment, in order of preference:
-
-    - a worker that *returns* never raises (:func:`_execute_task`), so
-      per-task faults arrive as typed failure / degraded outcomes;
-    - a task that outlives its hard backstop becomes a ``budget-time``
-      failure outcome, and the pool's workers are killed to reclaim the
-      wedged one; the tasks that kill strands go straight to a rebuilt
-      pool, with no attempt charged and no backoff;
-    - a worker death strands every task the pool had not finished —
-      the pool is *rebuilt* and the stranded tasks resubmitted under
-      the shared backoff-with-jitter :class:`~repro.faults.RetryPolicy`
-      (so a second or third worker death in one run keeps its
-      parallelism instead of aborting to a sequential crawl); a task
-      that exhausts the policy is salvaged with one final sequential
-      in-process run;
-    - a pool that cannot be created at all (no fork/semaphores) falls
-      back to sequential in-process execution.
-
-    Every task re-run after a worker death carries a ``pool_retries``
-    counter (how many times a death stranded it); :func:`summarize`
-    folds those into totals and a per-attempt histogram.
+    A worker death strands only the tasks in flight; each reruns alone
+    on a rebuilt pool, where its outcome stands (``pool_retries`` 1) or,
+    if it breaks the pool again, it ends ``poison-job``. It never runs
+    in the parent. A pool that cannot boot is an environment fault:
+    tasks never submitted run in-process, stranded ones end
+    ``worker-crash``.
     """
-    from concurrent.futures import TimeoutError as FutureTimeoutError
     from concurrent.futures.process import BrokenProcessPool
 
     # Load the pipeline here, once, so every forked worker inherits it
     # instead of importing it again for each pool.
     _load_pipeline()
 
-    policy = policy if policy is not None else RetryPolicy()
-    rng = random.Random(len(pending))  # deterministic jitter per batch
     results: list[tuple[int, str | None, VetOutcome]] = []
-    retries: dict[int, int] = {}  # runs lost to worker deaths
-    queue = list(pending)
-    round_number = 0
+    queue, suspects = deque(pending), deque()  # suspects: stranded by a death
     pool = WorkerPool(worker_count, start_method="fork")
     try:
-        while queue:
+        while queue or suspects:
             try:
                 pool.start()
-            except (OSError, ValueError):  # no fork/semaphores available here
-                break  # sequential salvage below
-            stranded: list[tuple[int, VetTask, str | None]] = []
-            killed = False
-            futures = []
-            try:
-                for index, task, key in queue:
-                    futures.append((
-                        index, task, key,
-                        pool.submit(_execute_task, task, spec, timeout),
-                    ))
-            except BrokenProcessPool:  # died during submission
-                stranded.extend(queue[len(futures):])
-            for index, task, key, future in futures:
-                try:
-                    outcome = future.result(timeout=_hard_timeout(task, timeout))
-                except FutureTimeoutError:
-                    # Wedged outside the fixpoint: only a kill reclaims
-                    # the worker. Tasks still running beside it strand.
-                    pool.kill_workers()
-                    killed = True
-                    outcome = VetOutcome(
-                        name=task.name, ok=False,
-                        failure=FailureKind.BUDGET_TIME.value,
-                        error=f"timeout: exceeded {timeout}s wall-clock budget",
-                    )
-                except BrokenProcessPool:
-                    stranded.append((index, task, key))
-                    continue
-                except Exception as exc:  # e.g. an unpicklable result
-                    outcome = VetOutcome(
-                        name=task.name, ok=False,
-                        failure=classify_exception(exc).value,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                else:
-                    if retries.get(index):
-                        outcome = _bump_counter(
-                            outcome, "pool_retries", retries[index]
-                        )
-                results.append((index, key, outcome))
-            if not stranded:
-                return results
-            pool.discard()
-            if killed:
-                # A deadline kill, not a worker death, stranded these
-                # tasks: rerun them at once and charge them no attempt.
-                # Each kill retires its wedged task, so this ends.
-                queue = stranded
+                for probe in pool.boot_probes:
+                    probe.result()
+            except (OSError, ValueError, BrokenProcessPool):
+                break  # no fork/semaphores here, or workers die booting
+            if not suspects:
+                finished, stranded = _run_window(
+                    pool, queue, spec, timeout, 2 * worker_count
+                )
+                results += finished
+                suspects += stranded
                 continue
-            # Split the stranded tasks: those the policy still allows go
-            # to a rebuilt pool after a backoff; the rest fall through to
-            # the sequential salvage pass.
-            queue = []
-            for index, task, key in stranded:
-                retries[index] = retries.get(index, 0) + 1
-                if policy.allows(retries[index]):
-                    queue.append((index, task, key))
-                else:
-                    outcome = _bump_counter(
-                        _execute_task(task, spec, timeout),
-                        "pool_retries", retries[index],
-                    )
-                    results.append((index, key, outcome))
-            if queue:
-                round_number += 1
-                time.sleep(policy.delay(round_number, rng))
+            # One suspect at a time: a pool that breaks names its killer.
+            finished, stranded = _run_window(pool, suspects, spec, timeout, 1)
+            finished += [
+                (index, key, _failed(
+                    task, FailureKind.POISON, "its worker died as it ran alone"
+                ))
+                for index, task, key in stranded
+            ]
+            results += [
+                (index, key, _bump_counter(outcome, "pool_retries"))
+                for index, key, outcome in finished
+            ]
     except BaseException:
         pool.kill_workers()  # an interrupt must not wait out running tasks
         raise
     finally:
         pool.shutdown(wait=True)
-    # Pool could not be (re)created at all: sequential salvage.
-    for index, task, key in queue:
-        outcome = _execute_task(task, spec, timeout)
-        if retries.get(index):
-            outcome = _bump_counter(outcome, "pool_retries", retries[index])
-        results.append((index, key, outcome))
-    return results
+    return results + [
+        (index, key, _failed(
+            task, FailureKind.WORKER_CRASH, "stranded; no pool could be rebuilt"
+        ))
+        for index, task, key in suspects
+    ] + [
+        (index, key, _execute_task(task, spec, timeout))
+        for index, task, key in queue
+    ]
 
 
 def vet_corpus(
@@ -1096,7 +1102,6 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
     failures: dict[str, int] = {}
     degradation_kinds: dict[str, int] = {}
     diff_verdicts: dict[str, int] = {}
-    pool_retry_attempts: dict[str, int] = {}
     cache_quarantined = 0
     pool_retries = 0
     for outcome in outcomes:
@@ -1115,11 +1120,7 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
                 diff_verdicts.get(outcome.diff_verdict, 0) + 1
             )
         cache_quarantined += outcome.counters.get("cache_quarantined", 0)
-        retried = outcome.counters.get("pool_retries", 0)
-        pool_retries += retried
-        if retried:
-            bucket = str(retried)
-            pool_retry_attempts[bucket] = pool_retry_attempts.get(bucket, 0) + 1
+        pool_retries += outcome.counters.get("pool_retries", 0)
     certifications = {
         "attempted": sum(
             o.counters.get("certification_attempted", 0) for o in outcomes
@@ -1154,8 +1155,6 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         "degradation_kinds": dict(sorted(degradation_kinds.items())),
         "diff_verdicts": dict(sorted(diff_verdicts.items())),
         "cache_quarantined": cache_quarantined,
+        # Tasks rerun alone after a worker death stranded them.
         "pool_retries": pool_retries,
-        # How many tasks needed exactly N pool re-executions — the
-        # retry policy's per-attempt breakdown ({} = no worker deaths).
-        "pool_retry_attempts": dict(sorted(pool_retry_attempts.items())),
     }

@@ -54,8 +54,9 @@ class FailureKind(enum.Enum):
     BUDGET_STATES = "budget-states"
     #: A pool worker process died (or the pool broke) mid-task.
     WORKER_CRASH = "worker-crash"
-    #: The same job crashed workers repeatedly and was quarantined so
-    #: it cannot wedge a queue (service poison-job semantics).
+    #: The job kept killing its workers and was quarantined so it
+    #: cannot wedge a queue: the service's after ``max_attempts``
+    #: crashes, a batch task's when it kills a worker running alone.
     POISON = "poison-job"
     #: An on-disk cache entry could not be decoded (quarantined).
     CACHE_CORRUPT = "cache-corrupt"
@@ -174,9 +175,10 @@ class BudgetMeter:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff with jitter — the one retry shape
-    every layer that survives worker death uses (the batch engine's
-    pool rebuilds, the vetting service's crashed-job requeues).
+    """Capped exponential backoff with jitter for the vetting
+    service's crashed-job requeues. (The batch engine retries nothing
+    on a schedule: a task a worker death strands reruns once, alone,
+    and is poison if it kills that worker too.)
 
     ``max_attempts`` counts *executions*: 3 means one first try plus at
     most two retries; whatever still fails after that is failed (or

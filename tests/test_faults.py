@@ -17,9 +17,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +34,6 @@ from repro.addons import CORPUS
 from repro.analysis import AnalysisBudgetExceeded, analyze
 from repro.api import vet
 from repro.batch import VetTask, cache_key, summarize, vet_corpus, vet_many
-from repro.faults import RetryPolicy
 from repro.faults import Budget, Degradation, FailureKind, classify_exception
 from repro.ir import lower
 from repro.js import parse, parse_with_recovery
@@ -185,51 +189,129 @@ class TestTypedFailures:
 # Worker crashes and broken pools
 
 
-class _PoisonedFuture:
-    def result(self, timeout=None):
-        raise BrokenProcessPool("injected: a worker died abruptly")
-
-    def cancel(self):
-        return True
-
-
 class _BrokenPoolExecutor:
-    """A ProcessPoolExecutor double whose every future is poisoned."""
+    """A ProcessPoolExecutor double whose every future is broken."""
 
     def __init__(self, max_workers=None, **kwargs):
         pass
 
     def submit(self, fn, *args, **kwargs):
-        return _PoisonedFuture()
+        future = Future()
+        future.set_exception(
+            BrokenProcessPool("injected: a worker died abruptly")
+        )
+        return future
 
     def shutdown(self, wait=True, cancel_futures=False):
         pass
 
 
+def _run_killer_everywhere(count: int, killer: int) -> list[dict]:
+    """Vet ``count`` sources on two workers in a fresh interpreter in
+    which the task at ``killer`` ends whatever process runs it. Returns
+    the outcomes' JSON; fails the test if that interpreter died."""
+    script = textwrap.dedent(f"""
+        import json, os
+        import repro.api
+        from repro.batch import vet_many
+
+        original = repro.api.vet
+
+        def lethal(source, *args, **kwargs):
+            if "KILLANY" in source:
+                os._exit(9)  # an OOM kill or a native crash
+            return original(source, *args, **kwargs)
+
+        repro.api.vet = lethal
+        sources = {_sources(count, killer)!r}
+        outcomes = vet_many(sources, workers=2, use_cache=False)
+        print(json.dumps([o.to_json() for o in outcomes]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout)
+
+
+def _sources(count: int, killer: int) -> list[str]:
+    return [
+        "var k = 1; // KILLANY" if i == killer
+        else f"var s{i} = document.cookie; send(s{i} + '{i}');" if i % 3
+        else f"var v{i} = {i};"
+        for i in range(count)
+    ]
+
+
 class TestWorkerCrash:
     def test_broken_pool_retries_stranded_tasks_in_process(self, monkeypatch):
+        """A pool whose boot probes break is an environment fault, not
+        a task's: no task is stranded or charged, and all run
+        in-process (the sequential fallback)."""
         monkeypatch.setattr(batch, "ProcessPoolExecutor", _BrokenPoolExecutor)
-        policy = RetryPolicy(max_attempts=3, base_delay=0.001, jitter=0.0)
         baseline = vet_many([LEAKY, "var ok = 1;"], workers=1, use_cache=False)
-        outcomes = vet_many(
-            [LEAKY, "var ok = 1;"], workers=2, use_cache=False,
-            pool_retry=policy,
-        )
+        outcomes = vet_many([LEAKY, "var ok = 1;"], workers=2, use_cache=False)
         assert [o.ok for o in outcomes] == [True, True]
-        # An always-broken pool burns every allowed pool attempt, then
-        # the task is salvaged in-process: retries == max_attempts.
-        assert all(
-            o.counters.get("pool_retries") == policy.max_attempts
-            for o in outcomes
-        )
+        assert not any(o.counters.get("pool_retries") for o in outcomes)
         assert [o.signature_text for o in outcomes] == [
             o.signature_text for o in baseline
         ]
         breakdown = summarize(outcomes)
-        assert breakdown["pool_retries"] == 2 * policy.max_attempts
-        assert breakdown["pool_retry_attempts"] == {
-            str(policy.max_attempts): 2
-        }
+        assert breakdown["pool_retries"] == 0
+        assert "pool_retry_attempts" not in breakdown
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="worker-kill injection relies on fork inheriting the patch",
+    )
+    def test_task_that_kills_any_process_is_poison(self):
+        """A task that kills whatever process runs it ends
+        ``poison-job``; the parent survives, only the tasks in flight
+        beside it are rerun, and every other outcome matches a
+        sequential run."""
+        count, killer, workers = 40, 3, 2
+        outcomes = _run_killer_everywhere(count, killer)
+        assert outcomes[killer]["failure"] == "poison-job"
+        others = [o for i, o in enumerate(outcomes) if i != killer]
+        assert all(o["ok"] for o in others)
+        sequential = vet_many(
+            [s for i, s in enumerate(_sources(count, killer)) if i != killer],
+            workers=1, use_cache=False,
+        )
+        assert [o["signature_text"] for o in others] == [
+            o.signature_text for o in sequential
+        ]
+        rerun = [o for o in outcomes if o["counters"].get("pool_retries")]
+        assert 1 <= len(rerun) <= 2 * workers
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="worker-kill injection relies on fork inheriting the patch",
+    )
+    def test_task_that_kills_only_its_first_run_is_not_poison(
+        self, monkeypatch, tmp_path
+    ):
+        parent = os.getpid()
+        original = repro.api.vet
+        marker = tmp_path / "died-once"
+
+        def lethal_once(source, *args, **kwargs):
+            if "DIEONCE" in source and os.getpid() != parent:
+                if not marker.exists():
+                    marker.write_text("")
+                    os._exit(13)
+            return original(source, *args, **kwargs)
+
+        monkeypatch.setattr(repro.api, "vet", lethal_once)
+        flaky, sibling = vet_many(
+            ["var a = 1; // DIEONCE", "var b = 2;"],
+            workers=2, use_cache=False,
+        )
+        assert marker.exists()
+        assert flaky.ok and flaky.counters.get("pool_retries") == 1
+        assert sibling.ok
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -245,14 +327,52 @@ class TestWorkerCrash:
             return original(source, *args, **kwargs)
 
         monkeypatch.setattr(repro.api, "vet", lethal)
-        outcomes = vet_many(
+        killer, sibling = vet_many(
             ["var a = 1; // KILLWORKER", "var b = 2;"],
             workers=2, use_cache=False,
         )
-        # Zero uncaught exceptions; both stranded tasks were re-run
-        # in-process (where the kill switch does not fire).
-        assert [o.ok for o in outcomes] == [True, True]
-        assert any(o.counters.get("pool_retries") for o in outcomes)
+        # Zero uncaught exceptions: the killer, rerun alone in a worker,
+        # kills it again and is poison; its sibling ends ok.
+        assert not killer.ok and killer.failure == "poison-job"
+        assert sibling.ok
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="worker-kill injection relies on fork inheriting the patch",
+    )
+    def test_stranded_tasks_never_run_in_process(self, monkeypatch):
+        """When no pool can be rebuilt after a worker death, the tasks
+        it stranded end ``worker-crash`` instead of running in the
+        parent; only tasks never submitted take the in-process
+        fallback."""
+        parent = os.getpid()
+        original = repro.api.vet
+        real_executor = batch.ProcessPoolExecutor
+        built = []
+
+        def lethal(source, *args, **kwargs):
+            if "KILLWORKER" in source and os.getpid() != parent:
+                os._exit(13)
+            return original(source, *args, **kwargs)
+
+        def executor_once(*args, **kwargs):
+            if built:
+                raise OSError("injected: no more processes")
+            built.append(True)
+            return real_executor(*args, **kwargs)
+
+        monkeypatch.setattr(repro.api, "vet", lethal)
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", executor_once)
+        outcomes = vet_many(
+            ["var a = 1; // KILLWORKER"]
+            + [f"var b{i} = {i};" for i in range(9)],
+            workers=2, use_cache=False,
+        )
+        assert outcomes[0].failure == "worker-crash"
+        crashed = [o for o in outcomes if not o.ok]
+        assert all(o.failure == "worker-crash" for o in crashed)
+        assert len(crashed) <= 4  # at most 2 x workers were in flight
+        assert not any(o.counters.get("pool_retries") for o in outcomes)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -318,6 +438,32 @@ class TestWorkerCrash:
         assert not any(o.counters.get("pool_retries") for o in outcomes)
         # One 0.5 s backstop per wedged task, plus pool rebuilds.
         assert elapsed < 15.0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="slow-task injection relies on fork inheriting the patch",
+    )
+    def test_hard_deadline_does_not_count_queue_wait(self, monkeypatch):
+        """Six tasks that each run 1 s on two workers, under a 1.6 s
+        backstop: a task waiting for a worker would reach its backstop
+        after ~2 s if the wait counted. None may end ``budget-time``."""
+        parent = os.getpid()
+        original = repro.api.vet
+
+        def slow(source, *args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(1.0)
+            return original(source, *args, **kwargs)
+
+        monkeypatch.setattr(repro.api, "vet", slow)
+        monkeypatch.setattr(batch, "_hard_timeout", lambda task, timeout: 1.6)
+        outcomes = vet_many(
+            [f"var s{i} = {i};" for i in range(6)],
+            workers=2, use_cache=False, timeout=30.0,
+        )
+        assert [o.failure for o in outcomes] == [None] * 6
+        assert all(o.ok for o in outcomes)
+        assert not any(o.counters.get("pool_retries") for o in outcomes)
 
 
 # ----------------------------------------------------------------------
