@@ -1,6 +1,6 @@
 """Imports deferred to first use, for processes that never need them.
 
-The vetting daemon, its clients, the load generator and the spawned
+The vetting daemon, its clients, the load generator and the service
 pool workers each load only what they run, so two kinds of import wait
 until they are used.
 

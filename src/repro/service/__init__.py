@@ -16,17 +16,18 @@ the machinery around them crashes.
   a replayed job that already committed is recognized, not re-run;
 - :mod:`repro.service.supervisor` — :class:`SupervisedPool`: the
   daemon's async policy over the batch engine's
-  :class:`repro.batch.WorkerPool` (spawned workers, rebuilt on worker
-  death, per-job hard deadlines that kill the wedged worker, layered
-  over the cooperative :class:`repro.faults.Budget`);
+  :class:`repro.batch.WorkerPool` (workers forked from one template
+  that preloaded the vetting pipeline, rebuilt off the event loop on
+  worker death, per-job hard deadlines that kill the wedged worker,
+  layered over the cooperative :class:`repro.faults.Budget`);
 - :mod:`repro.service.server` — :class:`VettingService` plus its two
   front doors: newline-delimited JSON-RPC on stdin/stdout, or a
   localhost HTTP listener (stdlib-only, asyncio);
 - :mod:`repro.service.daemon` — the thin entry module (``addon-sig
   serve``, ``python -m repro.service.daemon``): flags only, importing
-  :mod:`repro.service.server` when it serves, because spawned pool
-  workers re-import the entry module and must not load asyncio, and
-  keeping OpenSSL out of the daemon (``block_openssl``);
+  :mod:`repro.service.server` when it serves, because pool workers
+  re-import the entry module and must not load asyncio, and keeping
+  OpenSSL out of the daemon (``block_openssl``);
 - :mod:`repro.service.client` — the blocking HTTP client the load
   generator and tests drive the daemon with;
 - :mod:`repro.service.loadgen` — the service-level chaos harness

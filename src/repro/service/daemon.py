@@ -9,11 +9,13 @@ so load generators can discover it; with ``--stdio`` it prints a
 
 This module is deliberately thin: it parses flags and hands over to
 :mod:`repro.service.server`, imported only inside :func:`main`. The
-pool's workers are *spawned*, and the spawn start method re-runs the
-parent's ``-m`` module in every worker, so whatever this module imports
-at the top, every worker loads too — asyncio, OpenSSL and the daemon's
-control plane included, none of which a worker runs. :func:`main`
-also keeps OpenSSL out of the daemon itself (:func:`block_openssl`).
+pool's workers fork from the *template* (:func:`repro.batch
+.start_template`), and a worker forked from it still re-runs the
+parent's ``-m`` module, as ``__mp_main__``, so whatever this module
+imports at the top, every worker loads too — asyncio, OpenSSL and the
+daemon's control plane included, none of which a worker runs.
+:func:`main` also keeps OpenSSL out of the daemon itself
+(:func:`block_openssl`).
 """
 
 from __future__ import annotations

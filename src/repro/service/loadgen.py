@@ -26,8 +26,10 @@ to be hit by *every* chaos event cannot be poisoned — the exactly-once
 check stays deterministic.
 
 The report (``BENCH_service.json``) carries p50/p95/p99 submit→terminal
-latency for both runs, per-kill recovery timings, and the journal
-replay summaries of each daemon restart.
+latency for both runs, per-kill recovery timings (a worker kill's
+``recovery_s``, from the kill to the first job finished on the rebuilt
+pool; a daemon restart's ``downtime_s`` and ``ready_s``), and the
+journal replay summaries of each daemon restart.
 """
 
 from __future__ import annotations
@@ -155,9 +157,12 @@ class DaemonHandle:
         started = time.monotonic()
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.directory / "daemon-err.log", "ab") as err_log:
+            # Its own session: :meth:`kill` can then kill the process
+            # group, which holds the daemon, its template and workers.
             self.process = subprocess.Popen(
                 command, env=env,
                 stdout=subprocess.DEVNULL, stderr=err_log,
+                start_new_session=True,
             )
         deadline = started + ready_timeout
         while time.monotonic() < deadline:
@@ -172,22 +177,19 @@ class DaemonHandle:
         raise TimeoutError("daemon did not answer within the ready timeout")
 
     def kill(self) -> None:
-        """SIGKILL — the crash the journals exist for. Also reaps the
-        workers the dead daemon leaves orphaned (a real deployment's
-        supervisor would; letting them pile up would starve the box)."""
-        orphans: list[int] = []
+        """SIGKILL the daemon's process group — the crash the journals
+        exist for. The group also holds the template and the workers,
+        as a real deployment's supervisor kills a crashed service's
+        processes: an orphaned worker would wait forever for work and
+        keep the template alive, and a worker forked while the pool
+        boots is not yet in ``stats``."""
+        if self.process is None:
+            return
         try:
-            orphans = self.client.stats()["pool"]["worker_pids"]
-        except (ServiceUnavailable, Exception):
+            os.killpg(self.process.pid, signal.SIGKILL)
+        except ProcessLookupError:
             pass
-        if self.process is not None and self.process.poll() is None:
-            self.process.kill()
-            self.process.wait()
-        for pid in orphans:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
+        self.process.wait()
 
     def stop(self, *, timeout: float = 15.0) -> None:
         if self.process is None or self.process.poll() is not None:
@@ -287,34 +289,71 @@ class ChaosLog:
     missed: list[str] = field(default_factory=list)
 
 
-def _terminal_count(client: ServiceClient) -> int | None:
-    try:
-        states = client.stats()["queue"]["states"]
-    except (ServiceUnavailable, Exception):
-        return None
+def _terminal(stats: dict) -> int:
+    states = stats["queue"]["states"]
     return sum(
         states.get(state, 0)
         for state in ("done", "failed", "cancelled", "poisoned")
     )
 
 
+def _terminal_count(client: ServiceClient) -> int | None:
+    try:
+        return _terminal(client.stats())
+    except (ServiceUnavailable, Exception):
+        return None
+
+
 def _kill_one_worker(handle: DaemonHandle, log: ChaosLog,
-                     fraction: float, patience: float = 10.0) -> None:
+                     fraction: float, done: threading.Event,
+                     patience: float = 10.0) -> None:
     deadline = time.monotonic() + patience
     while time.monotonic() < deadline:
         try:
-            pids = handle.client.stats()["pool"]["worker_pids"]
+            pool = handle.client.stats()["pool"]
         except (ServiceUnavailable, Exception):
-            pids = []
-        for pid in pids:
+            pool = {"worker_pids": []}
+        for pid in pool["worker_pids"]:
             try:
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 continue
-            log.worker_kills.append({"pid": pid, "at_fraction": fraction})
+            kill = {"pid": pid, "at_fraction": fraction}
+            log.worker_kills.append(kill)
+            recovery_s = _recovery_s(handle, pool["rebuilds"], done)
+            if recovery_s is None:
+                log.missed.append(
+                    f"no job finished on the pool rebuilt after the worker "
+                    f"kill at {fraction:.0%}"
+                )
+            else:
+                kill["recovery_s"] = round(recovery_s, 3)
             return
         time.sleep(0.05)
     log.missed.append(f"no live worker to kill at {fraction:.0%}")
+
+
+def _recovery_s(handle: DaemonHandle, rebuilds: int, done: threading.Event,
+                patience: float = 60.0) -> float | None:
+    """Seconds from a worker kill to the first job that finished on the
+    rebuilt pool: the first terminal job after the daemon counted the
+    pool's rebuild. ``None`` if none finished (the run ended first)."""
+    killed = time.monotonic()
+    noticed = None  # terminal jobs when the daemon counted the rebuild
+    while True:
+        finished = done.is_set()
+        try:
+            stats = handle.client.stats()
+        except (ServiceUnavailable, Exception):
+            stats = None
+        if stats is not None:
+            if noticed is not None and _terminal(stats) > noticed:
+                return time.monotonic() - killed
+            if noticed is None and stats["pool"]["rebuilds"] > rebuilds:
+                noticed = _terminal(stats)
+        if finished or time.monotonic() > killed + patience:
+            return None
+        time.sleep(0.01)
 
 
 def _restart_daemon(handle: DaemonHandle, log: ChaosLog,
@@ -368,7 +407,7 @@ def _chaos_thread(handle: DaemonHandle, total_jobs: int,
             log.missed.append(f"{kind} kill at {fraction:.0%}: run finished")
             continue
         if kind == "worker":
-            _kill_one_worker(handle, log, fraction)
+            _kill_one_worker(handle, log, fraction, done)
         else:
             _restart_daemon(handle, log, fraction)
 
@@ -410,41 +449,43 @@ def run_once(
         directory, workers=workers, max_attempts=max_attempts, fsync=fsync
     )
     handle.start()
-    log = ChaosLog()
-    done = threading.Event()
-    chaos = None
-    if worker_kills or daemon_kills:
-        chaos = threading.Thread(
-            target=_chaos_thread,
-            args=(handle, total_jobs, worker_kills, daemon_kills, log, done),
-            name="chaos",
-            daemon=True,
+    try:
+        log = ChaosLog()
+        done = threading.Event()
+        chaos = None
+        if worker_kills or daemon_kills:
+            chaos = threading.Thread(
+                target=_chaos_thread,
+                args=(handle, total_jobs, worker_kills, daemon_kills, log, done),
+                name="chaos",
+                daemon=True,
+            )
+            chaos.start()
+        errors: list[str] = []
+        started = time.monotonic()
+        results = _run_submitters(
+            handle, chains, submitters, wait_timeout, errors
         )
-        chaos.start()
-    errors: list[str] = []
-    started = time.monotonic()
-    results = _run_submitters(
-        handle, chains, submitters, wait_timeout, errors
-    )
-    wall_s = time.monotonic() - started
-    done.set()
-    if chaos is not None:
-        chaos.join(timeout=10.0)
+        wall_s = time.monotonic() - started
+        done.set()
+        if chaos is not None:
+            chaos.join(timeout=10.0)
 
-    outcomes: dict[str, dict] = {}
-    states: dict[str, str] = {}
-    client = handle.client
-    for chain in chains:
-        for job_id in chain.job_ids():
-            try:
-                states[job_id] = client.status(job_id)["state"]
-            except Exception as exc:
-                states[job_id] = f"unknown ({type(exc).__name__})"
-                continue
-            if states[job_id] == "done":
-                outcomes[job_id] = client.result(job_id)["outcome"]
-    final_stats = client.stats() if client.alive() else {}
-    handle.stop()
+        outcomes: dict[str, dict] = {}
+        states: dict[str, str] = {}
+        client = handle.client
+        for chain in chains:
+            for job_id in chain.job_ids():
+                try:
+                    states[job_id] = client.status(job_id)["state"]
+                except Exception as exc:
+                    states[job_id] = f"unknown ({type(exc).__name__})"
+                    continue
+                if states[job_id] == "done":
+                    outcomes[job_id] = client.result(job_id)["outcome"]
+        final_stats = client.stats() if client.alive() else {}
+    finally:
+        handle.stop()  # its own session: an interrupt does not reach it
 
     from repro.diffvet.store import VersionStore
 
@@ -625,15 +666,14 @@ def render_report(report: dict) -> str:
             f"p99 {latency['p99_ms']}ms  states {run['states']}"
         )
     chaos = report["chaos"]["chaos"]
-    restarts = chaos["daemon_restarts"]
+    kills, restarts = chaos["worker_kills"], chaos["daemon_restarts"]
+    recoveries = [
+        f"{kill['recovery_s']:.2f}s" for kill in kills if "recovery_s" in kill
+    ] + [f"{restart['downtime_s']:.2f}s" for restart in restarts]
     lines.append(
-        f"  injected: {len(chaos['worker_kills'])} worker kill(s), "
+        f"  injected: {len(kills)} worker kill(s), "
         f"{len(restarts)} daemon restart(s)"
-        + (
-            "  recovery "
-            + ", ".join(f"{r['downtime_s']:.2f}s" for r in restarts)
-            if restarts else ""
-        )
+        + ("  recovery " + ", ".join(recoveries) if recoveries else "")
     )
     checks = report["checks"]
     lines.append(

@@ -23,9 +23,12 @@ The :class:`VettingService` glues the crash-safe layers together:
   input on either door gets a typed 4xx error, never ``internal``.
 
 The entry point is :mod:`repro.service.daemon` (``addon-sig serve``),
-which imports this module only when it actually serves: spawned pool
-workers re-import the entry module, and must not load asyncio or this
-control plane.
+which imports this module only when it actually serves: pool workers
+re-import the entry module, and must not load asyncio or this control
+plane. :meth:`VettingService.start` boots the pool, and with it the
+template, on a thread, so the doors answer while the template
+preloads; :meth:`VettingService.stop` reaps the workers and then the
+template.
 """
 
 from __future__ import annotations
@@ -121,14 +124,15 @@ class VettingService:
     # -- scheduling ----------------------------------------------------
 
     async def start(self) -> None:
-        self.pool.start()
+        self.pool.boot()  # jobs wait for the pool; requests do not
         self._running = True
         self._scheduler_task = asyncio.create_task(self._scheduler())
 
     async def stop(self, *, grace: float = 10.0) -> None:
         """Graceful stop: no new claims, brief wait for in-flight jobs
-        (abandoned ones are requeued by the next start's replay), then
-        journal compaction."""
+        (abandoned ones are requeued by the next start's replay, their
+        workers killed), the pool and its template reaped, then journal
+        compaction."""
         self._running = False
         self._wake.set()
         if self._scheduler_task is not None:
@@ -139,9 +143,10 @@ class VettingService:
                 pass
         if self._job_tasks:
             await asyncio.wait(self._job_tasks, timeout=grace)
+        abandoned = bool(self._job_tasks)
         for task in self._job_tasks:
             task.cancel()
-        self.pool.shutdown()
+        await self.pool.close(kill=abandoned)
         self.queue.compact()
         self.queue.close()
         self._stopped.set()
@@ -284,19 +289,23 @@ class VettingService:
         return job
 
     def stats(self) -> dict:
+        pool = self.pool.stats()
+        template = pool["template_pid"]
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "pid": os.getpid(),
             "queue": self.queue.stats(),
-            "pool": self.pool.stats(),
+            "pool": pool,
             # High-water RSS: the daemon's own, and each live worker's
-            # (null where /proc is absent).
+            # and the template's (null where /proc is absent).
             "memory": {
                 "daemon_maxrss_mb": peak_rss_mb(children=False),
                 "worker_hwm_mb": {
-                    str(pid): vm_hwm_mb(pid)
-                    for pid in self.pool.worker_pids()
+                    str(pid): vm_hwm_mb(pid) for pid in pool["worker_pids"]
                 },
+                "forkserver_hwm_mb": (
+                    vm_hwm_mb(template) if template is not None else None
+                ),
             },
             "retry": {
                 "max_attempts": self.retry.max_attempts,

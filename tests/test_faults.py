@@ -263,7 +263,7 @@ class TestWorkerCrash:
         assert "pool_retry_attempts" not in breakdown
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="worker-kill injection relies on fork inheriting the patch",
     )
     def test_task_that_kills_any_process_is_poison(self):
@@ -287,7 +287,7 @@ class TestWorkerCrash:
         assert 1 <= len(rerun) <= 2 * workers
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="worker-kill injection relies on fork inheriting the patch",
     )
     def test_task_that_kills_only_its_first_run_is_not_poison(
@@ -314,7 +314,7 @@ class TestWorkerCrash:
         assert sibling.ok
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="worker-kill injection relies on fork inheriting the patch",
     )
     def test_real_worker_death_is_contained(self, monkeypatch):
@@ -337,7 +337,7 @@ class TestWorkerCrash:
         assert sibling.ok
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="worker-kill injection relies on fork inheriting the patch",
     )
     def test_stranded_tasks_never_run_in_process(self, monkeypatch):
@@ -375,7 +375,7 @@ class TestWorkerCrash:
         assert not any(o.counters.get("pool_retries") for o in outcomes)
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="wedge injection relies on fork inheriting the patch",
     )
     def test_hard_deadline_kills_a_wedged_worker(self, monkeypatch, tmp_path):
@@ -408,7 +408,7 @@ class TestWorkerCrash:
             os.kill(int(pid_file.read_text()), 0)
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="wedge injection relies on fork inheriting the patch",
     )
     def test_deadline_kills_charge_stranded_siblings_nothing(self, monkeypatch):
@@ -440,7 +440,7 @@ class TestWorkerCrash:
         assert elapsed < 15.0
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="slow-task injection relies on fork inheriting the patch",
     )
     def test_hard_deadline_does_not_count_queue_wait(self, monkeypatch):
