@@ -18,7 +18,9 @@ parameter/return/exception data edges with no special cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.analysis import builtins
 from repro.analysis.contexts import Context
@@ -56,7 +58,7 @@ from repro.ir.nodes import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropAccess:
     """One (object, property) access with its strength."""
 
@@ -65,25 +67,42 @@ class PropAccess:
     strong: bool
 
 
-@dataclass
+#: The shared empty containers an :class:`RWSet` starts with: most
+#: nodes touch few locations, so a set gets its own dict or list only on
+#: its first add of that kind.
+_NO_VARS: Mapping[VarKey, bool] = MappingProxyType({})
+_NO_PROPS: Sequence[PropAccess] = ()
+
+
 class RWSet:
     """Read/write sets of one (statement, context)."""
 
-    read_vars: dict[VarKey, bool] = field(default_factory=dict)
-    write_vars: dict[VarKey, bool] = field(default_factory=dict)
-    read_props: list[PropAccess] = field(default_factory=list)
-    write_props: list[PropAccess] = field(default_factory=list)
+    __slots__ = ("read_vars", "write_vars", "read_props", "write_props")
+
+    def __init__(self) -> None:
+        self.read_vars: Mapping[VarKey, bool] = _NO_VARS
+        self.write_vars: Mapping[VarKey, bool] = _NO_VARS
+        self.read_props: Sequence[PropAccess] = _NO_PROPS
+        self.write_props: Sequence[PropAccess] = _NO_PROPS
 
     def add_read_var(self, key: VarKey, strong: bool) -> None:
+        if self.read_vars is _NO_VARS:
+            self.read_vars = {}
         self.read_vars[key] = self.read_vars.get(key, True) and strong
 
     def add_write_var(self, key: VarKey, strong: bool) -> None:
+        if self.write_vars is _NO_VARS:
+            self.write_vars = {}
         self.write_vars[key] = self.write_vars.get(key, True) and strong
 
     def add_read_prop(self, access: PropAccess) -> None:
+        if self.read_props is _NO_PROPS:
+            self.read_props = []
         self.read_props.append(access)
 
     def add_write_prop(self, access: PropAccess) -> None:
+        if self.write_props is _NO_PROPS:
+            self.write_props = []
         self.write_props.append(access)
 
 

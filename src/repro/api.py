@@ -35,7 +35,7 @@ from repro.js import ast as js_ast
 from repro.js import node_count, parse, parse_with_recovery
 from repro.js.parser import SkippedStatement
 from repro.pdg import PDG, build_pdg
-from repro.perf import Counters, PhaseTimes
+from repro.perf import Counters, PhaseTimes, phase_end
 from repro.signatures import (
     Comparison,
     InferenceDetail,
@@ -299,7 +299,7 @@ def vet(
         )
         counters.update(decision.counters)
         if not decision.relevant:
-            after_parse = time.perf_counter()
+            after_parse = phase_end()
             detail = InferenceDetail(
                 signature=Signature(), provenance={}, source_statements={}
             )
@@ -331,15 +331,15 @@ def vet(
     del program_set
     result = analyze(program, environment(), k=k, budget=budget, salvage=True)
     degradations.extend(result.degradations)
-    after_p1 = time.perf_counter()
+    after_p1 = phase_end()
     pdg = build_pdg(result)
-    after_p2 = time.perf_counter()
+    after_p2 = phase_end()
     detail = infer_detail(result, pdg, resolved_spec)
     if post_inference is not None:
         detail = post_inference(result, pdg, detail, counters)
     if degradations:
         detail = widen_detail(detail, resolved_spec)
-    after_p3 = time.perf_counter()
+    after_p3 = phase_end()
     comparison = None
     if manual is not None:
         comparison = compare(detail.signature, manual, real_extras)

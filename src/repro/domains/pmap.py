@@ -58,21 +58,22 @@ class _CollisionNode:
 
 _EMPTY_ROOT = _BitmapNode(0, [])
 
-# Memo table for structural merge, keyed by *node identity*. States at
-# a fixpoint are re-joined with the same operands every round (the
-# stored trie and the incoming trie stabilize to fixed objects even when
-# they do not literally share nodes), so caching per (a, b, combine)
-# node pair turns those re-verification walks into O(1) lookups — and,
-# because the memo works per subtree, a merge after a localized change
-# only re-walks the changed region. Values keep strong references to
-# their operands so the id()-based keys can never be reused while an
-# entry is live; a verify-on-hit check guards against stale collisions
-# after eviction. Eviction is generational (live generation demoted,
-# previous generation dropped; hits in the old generation re-promote),
-# so overflow sheds cold entries instead of flushing the hot working
-# set. Never a correctness issue — only a perf miss. Each analysis builds
-# fresh tries, so no entry can hit in a later one: analyses drop the memo
-# when they end (:func:`drop_merge_memo`) instead of pinning their tries.
+# Memo table for structural merge, keyed on the operand nodes
+# themselves: ``(a, b, combine)``. States at a fixpoint are re-joined
+# with the same operands every round (the stored trie and the incoming
+# trie stabilize to fixed objects even when they do not literally share
+# nodes), so caching per node pair turns those re-verification walks
+# into O(1) lookups — and, because the memo works per subtree, a merge
+# after a localized change only re-walks the changed region. Nodes and
+# combine functions hash and compare by identity, and a key holds its
+# operands alive, so a live key can never name a different node pair;
+# the value is just ``(result, changed)``. Eviction is generational
+# (live generation demoted, previous generation dropped; hits in the old
+# generation re-promote), so overflow sheds cold entries instead of
+# flushing the hot working set. Never a correctness issue — only a perf
+# miss. Each analysis builds fresh tries, so no entry can hit in a later
+# one: analyses drop the memo when they end (:func:`drop_merge_memo`)
+# instead of pinning their tries.
 _MERGE_MEMO: dict = {}
 _MERGE_MEMO_OLD: dict = {}
 # Entries per generation. Smaller sizes trade merge work for memory: a
@@ -206,13 +207,14 @@ def _merge(a, b, shift: int, combine):
         return _pair_node(shift, _key_hash(a[0]), a, _key_hash(b[0]), b), True
     if type_a is _BitmapNode and type_b is _BitmapNode:
         global _MERGE_MEMO, _MERGE_MEMO_OLD
-        memo_key = (id(a), id(b), id(combine))
+        memo_key = (a, b, combine)
         hit = _MERGE_MEMO.get(memo_key)
-        if hit is None:
-            hit = _MERGE_MEMO_OLD.get(memo_key)
-        if hit is not None and hit[0] is a and hit[1] is b:
+        if hit is not None:
+            return hit
+        hit = _MERGE_MEMO_OLD.get(memo_key)
+        if hit is not None:
             _MERGE_MEMO[memo_key] = hit
-            return hit[2], hit[3]
+            return hit
         abm = a.bitmap
         bbm = b.bitmap
         union = abm | bbm
@@ -254,8 +256,8 @@ def _merge(a, b, shift: int, combine):
         if len(_MERGE_MEMO) >= _MEMO_LIMIT:
             _MERGE_MEMO_OLD = _MERGE_MEMO
             _MERGE_MEMO = {}
-        _MERGE_MEMO[memo_key] = (a, b, result, changed)
-        return result, changed
+        hit = _MERGE_MEMO[memo_key] = (result, changed)
+        return hit
     if type_a is tuple and type_b is _BitmapNode:
         # Single leaf vs subtree: graft the leaf into b's structure
         # instead of rebuilding b entry by entry — b keeps its nodes

@@ -23,6 +23,11 @@ over p1 of the previous, sizes doubling; quadratic would double into
 ``subquadratic`` verdict: slope < 1.8, i.e. the curve is visibly below
 quadratic (slope 2) with margin for timing noise. ``peak_rss_mb`` is
 the sweep process's memory high-water mark (reported, not gated).
+Entries up to :data:`PEAK_MAX_SIZE` also record each phase's working
+set, ``p1_peak_mb``/``p2_peak_mb``/``p3_peak_mb``: the traced-memory
+peak of one extra, untimed vet (``repro.perf.phase_peaks``, collector
+on), over the memory traced before it. A phase's peak counts what
+earlier phases left alive (reported, not gated).
 
 ``check_regression`` gates a fresh report against a checked-in
 baseline: it fails when P1 at the largest size regressed more than
@@ -46,7 +51,8 @@ from pathlib import Path
 
 SCHEMA = "addon-sig/bench-scaling/v1"
 
-#: Counters worth tracking per size (the interpreter's hot paths).
+#: Counters worth tracking per size (the interpreter's hot paths, and
+#: the PDG's size).
 TRACKED_COUNTERS = (
     "fixpoint_steps",
     "analysis_nodes",
@@ -56,6 +62,7 @@ TRACKED_COUNTERS = (
     "wto_components",
     "widening_points",
     "closure_cache_hits",
+    "pdg_edges",
 )
 
 #: Default sweep per shape: doubling sizes, largest flat ≈ 12k AST nodes.
@@ -63,6 +70,11 @@ DEFAULT_SIZES = {
     "flat": (1, 2, 4, 8, 16, 32, 64, 128),
     "chain": (2, 4, 8, 16, 32, 64, 128),
 }
+
+
+#: Entries up to this size record per-phase memory peaks. Tracing
+#: allocations slows a vet ~8x, so the largest size skips it.
+PEAK_MAX_SIZE = 64
 
 
 def synthesize_flat(handlers: int) -> str:
@@ -206,6 +218,19 @@ def _measure(source: str, runs: int, k: int) -> dict:
     }
 
 
+def _phase_peaks(source: str, k: int) -> dict:
+    """Per-phase traced-memory peaks of one untimed vet, in MB."""
+    from repro.api import vet
+    from repro.perf import phase_peaks
+
+    gc.collect()
+    with phase_peaks() as peaks:
+        vet(source, k=k)
+    return {
+        f"{phase}_peak_mb": peak for phase, peak in zip(("p1", "p2", "p3"), peaks)
+    }
+
+
 def run_scaling(
     runs: int = 3,
     k: int = 1,
@@ -228,6 +253,8 @@ def run_scaling(
                 "ast_nodes": node_count(parse(source)),
             }
             entry.update(_measure(source, runs=runs, k=k))
+            if size <= PEAK_MAX_SIZE:
+                entry.update(_phase_peaks(source, k))
             if entry["flows"] != expected_flows(shape, size):
                 raise AssertionError(
                     f"{shape}@{size}: expected "
@@ -359,11 +386,18 @@ def render_scaling(report: dict) -> str:
         )
         for entry in shape_report["entries"]:
             counters = entry["counters"]
+            peaks = ""
+            if "p1_peak_mb" in entry:
+                peaks = "  peak MB P1/P2/P3 " + "/".join(
+                    f"{entry[f'{phase}_peak_mb']:.2f}"
+                    for phase in ("p1", "p2", "p3")
+                )
             lines.append(
                 f"    size {entry['size']:>4}  "
                 f"nodes {entry['ast_nodes']:>6}  "
                 f"P1 {entry['p1_s']:8.3f}s  "
                 f"steps {counters.get('fixpoint_steps', 0):>7}  "
                 f"shared copies {counters.get('shared_copies', 0):>8}"
+                f"{peaks}"
             )
     return "\n".join(lines)

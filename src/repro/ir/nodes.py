@@ -34,12 +34,12 @@ GLOBAL_SCOPE = -1
 # Atoms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """Base class for IR operands."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Atom):
     """A constant: float, str, bool, None (JS null), or UNDEFINED."""
 
@@ -49,7 +49,7 @@ class Const(Atom):
         return f"Const({self.value!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Atom):
     """A lexically resolved variable reference.
 
@@ -71,24 +71,24 @@ class Var(Atom):
 # Right-hand sides for Assign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rhs:
     """Base class for assignment right-hand sides."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomRhs(Rhs):
     atom: Atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOpRhs(Rhs):
     operator: str
     left: Atom
     right: Atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnOpRhs(Rhs):
     operator: str
     operand: Atom
@@ -126,7 +126,7 @@ class EdgeKind(enum.Enum):
     FALLTHROUGH = "fallthrough"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A CFG edge to ``target`` (a statement id) of kind ``kind``."""
 
@@ -138,7 +138,7 @@ class Edge:
 # Statements
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     """Base class for IR statements.
 
@@ -170,21 +170,21 @@ class Stmt:
             self.edges.append(edge)
 
 
-@dataclass
+@dataclass(slots=True)
 class EntryStmt(Stmt):
     """Function entry marker; binds parameters (handled by the interpreter)."""
 
     function_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ExitStmt(Stmt):
     """Function exit marker; the join point of all returns."""
 
     function_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignStmt(Stmt):
     """``target = rhs`` where rhs involves only atoms."""
 
@@ -192,7 +192,7 @@ class AssignStmt(Stmt):
     rhs: Rhs = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class LoadPropStmt(Stmt):
     """``target = obj[prop]``."""
 
@@ -203,7 +203,7 @@ class LoadPropStmt(Stmt):
     may_throw_implicitly = True
 
 
-@dataclass
+@dataclass(slots=True)
 class StorePropStmt(Stmt):
     """``obj[prop] = value``."""
 
@@ -214,7 +214,7 @@ class StorePropStmt(Stmt):
     may_throw_implicitly = True
 
 
-@dataclass
+@dataclass(slots=True)
 class DeletePropStmt(Stmt):
     """``delete obj[prop]``."""
 
@@ -224,7 +224,7 @@ class DeletePropStmt(Stmt):
     may_throw_implicitly = True
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocStmt(Stmt):
     """Allocate a fresh object (``kind`` is "object", "array" or "regex").
 
@@ -236,7 +236,7 @@ class AllocStmt(Stmt):
     kind: str = "object"
 
 
-@dataclass
+@dataclass(slots=True)
 class ClosureStmt(Stmt):
     """``target = closure(function_id)`` — create a function value."""
 
@@ -244,7 +244,7 @@ class ClosureStmt(Stmt):
     function_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class CallStmt(Stmt):
     """``target = callee.apply(this, args)``; ``target`` may be None when
     the result is discarded (the lowering always names results, so in
@@ -258,7 +258,7 @@ class CallStmt(Stmt):
     may_throw_implicitly = True
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstructStmt(Stmt):
     """``target = new callee(args)``."""
 
@@ -269,7 +269,7 @@ class ConstructStmt(Stmt):
     may_throw_implicitly = True
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchStmt(Stmt):
     """Two-way branch on ``condition``; its two SEQ successors are the two
     arms. ``truthy_first`` records the polarity: when True, the first SEQ
@@ -280,14 +280,14 @@ class BranchStmt(Stmt):
     truthy_first: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStmt(Stmt):
     """``return value`` — JUMP edge to the function exit."""
 
     value: Atom | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ThrowStmt(Stmt):
     """``throw value`` — JUMP edge to the innermost handler, if any. With
     no handler the exception is uncaught: the paper omits those edges
@@ -296,14 +296,14 @@ class ThrowStmt(Stmt):
     value: Atom = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class CatchStmt(Stmt):
     """Handler entry: binds the in-flight exception value to ``target``."""
 
     target: Var = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class ForInNextStmt(Stmt):
     """For-in driver: binds the next enumerated property name of ``obj`` to
     ``target`` and branches (SEQ edges) to the loop body or the exit.
@@ -313,14 +313,14 @@ class ForInNextStmt(Stmt):
     obj: Atom = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class NopStmt(Stmt):
     """Join point / no-op, labeled for debugging."""
 
     label: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class EventLoopStmt(Stmt):
     """The synthetic addon event loop appended after top-level evaluation.
 

@@ -125,34 +125,33 @@ def build_ddg(
     nodes = icfg.nodes
 
     # ------------------------------------------------------------------
-    # Enumerate definitions: bit index per (node, location).
+    # Enumerate definitions: bit index per (node, location). A node's
+    # definitions take one contiguous range of indices, so its GEN mask
+    # is rebuilt from that range when needed rather than stored at the
+    # width of every definition.
     def_nodes: list[Node] = []
     def_locations: list[DefLocation] = []
     def_strong: list[bool] = []
-    gen_mask: dict[Node, int] = {}
+    gen_range: dict[Node, tuple[int, int]] = {}
     defs_by_bucket: dict[object, list[int]] = {}
 
     for node in nodes:
         rw = rw_sets.of(node[0], node[1])
-        mask = 0
+        first = len(def_nodes)
         for location, strong in _definitions_of(node, rw):
-            index = len(def_nodes)
+            defs_by_bucket.setdefault(_bucket_of(location), []).append(
+                len(def_nodes)
+            )
             def_nodes.append(node)
             def_locations.append(location)
             def_strong.append(strong)
-            mask |= 1 << index
-            defs_by_bucket.setdefault(_bucket_of(location), []).append(index)
-        if mask:
-            gen_mask[node] = mask
-
-    # Bits of all defs generated by any context of a given statement, so
-    # the same-statement supersede rule can exclude them from kill/taint.
-    sid_mask: dict[int, int] = {}
-    for index, node in enumerate(def_nodes):
-        sid_mask[node[0]] = sid_mask.get(node[0], 0) | (1 << index)
+        if len(def_nodes) > first:
+            gen_range[node] = (first, len(def_nodes))
 
     # ------------------------------------------------------------------
-    # Per-node kill and taint masks, from the node's writes.
+    # Per-node kill and taint masks, from the node's writes. Definitions
+    # made by any context of the node's own statement are left out (the
+    # same-statement supersede rule).
     kill_mask: dict[Node, int] = {}
     taint_mask: dict[Node, int] = {}
     for node in nodes:
@@ -160,11 +159,14 @@ def build_ddg(
         writes = _definitions_of(node, rw)
         if not writes:
             continue
+        sid = node[0]
         kills = 0
         taints = 0
         for location, strong in writes:
             exact = location[0] == "var" or location[2].concrete() is not None
             for index in defs_by_bucket.get(_bucket_of(location), ()):
+                if def_nodes[index][0] == sid:
+                    continue
                 other = def_locations[index]
                 if not _locations_overlap(other, location):
                     continue
@@ -176,9 +178,6 @@ def build_ddg(
                     and _locations_exact_match(location, other)
                 ):
                     kills |= 1 << index
-        own = sid_mask.get(node[0], 0)
-        kills &= ~own
-        taints &= ~own
         if kills:
             kill_mask[node] = kills
         if taints:
@@ -198,7 +197,8 @@ def build_ddg(
         queued.discard(node)
         reach = reach_in[node]
         taint = taint_in[node]
-        gen = gen_mask.get(node, 0)
+        span = gen_range.get(node)
+        gen = ((1 << (span[1] - span[0])) - 1) << span[0] if span else 0
         if gen or node in kill_mask or node in taint_mask:
             present = reach | taint
             taint = taint | (taint_mask.get(node, 0) & present)

@@ -36,18 +36,10 @@ class ICFG:
     """Materialized interprocedural CFG."""
 
     nodes: list[Node]
+    #: Adjacency in insertion order (downstream determinism), with no
+    #: duplicate edges.
     succs: dict[Node, list[Node]] = field(default_factory=dict)
     preds: dict[Node, list[Node]] = field(default_factory=dict)
-    #: Edge membership, for O(1) duplicate suppression in ``add_edge``;
-    #: the lists above keep insertion order (downstream determinism).
-    _edges: set[tuple[Node, Node]] = field(default_factory=set)
-
-    def add_edge(self, source: Node, target: Node) -> None:
-        edge = (source, target)
-        if edge not in self._edges:
-            self._edges.add(edge)
-            self.succs.setdefault(source, []).append(target)
-            self.preds.setdefault(target, []).append(source)
 
     def successors(self, node: Node) -> list[Node]:
         return self.succs.get(node, [])
@@ -62,6 +54,16 @@ def build_icfg(result: AnalysisResult) -> ICFG:
     nodes = list(result.states.keys())
     node_set = set(nodes)
     icfg = ICFG(nodes=nodes)
+    # Edge membership, for O(1) duplicate suppression; needed only while
+    # the graph is built.
+    edges: set[tuple[Node, Node]] = set()
+
+    def add_edge(source: Node, target: Node) -> None:
+        edge = (source, target)
+        if edge not in edges:
+            edges.add(edge)
+            icfg.succs.setdefault(source, []).append(target)
+            icfg.preds.setdefault(target, []).append(source)
 
     for sid, context in nodes:
         stmt = program.stmts[sid]
@@ -84,7 +86,7 @@ def build_icfg(result: AnalysisResult) -> ICFG:
             for target in statement_successors(stmt, Mode.FULL, result.throwing):
                 target_node = (target, context)
                 if target_node in node_set:
-                    icfg.add_edge(node, target_node)
+                    add_edge(node, target_node)
         else:
             # Even with a mandatory detour, implicit-exception edges fire
             # before the call (callee may not be a function).
@@ -92,12 +94,12 @@ def build_icfg(result: AnalysisResult) -> ICFG:
                 if edge.kind is EdgeKind.IMPLICIT and sid in result.throwing:
                     target_node = (edge.target, context)
                     if target_node in node_set:
-                        icfg.add_edge(node, target_node)
+                        add_edge(node, target_node)
 
         for fid, callee_context in callees:
             entry_node = (program.functions[fid].entry.sid, callee_context)
             if entry_node in node_set:
-                icfg.add_edge(node, entry_node)
+                add_edge(node, entry_node)
             exit_node = (program.functions[fid].exit.sid, callee_context)
             if exit_node in node_set:
                 # Returns resume at the call's normal (SEQ) successors.
@@ -105,7 +107,7 @@ def build_icfg(result: AnalysisResult) -> ICFG:
                     if edge.kind is EdgeKind.SEQ:
                         return_node = (edge.target, context)
                         if return_node in node_set:
-                            icfg.add_edge(exit_node, return_node)
+                            add_edge(exit_node, return_node)
     return icfg
 
 

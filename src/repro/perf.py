@@ -11,6 +11,9 @@ Small pieces every layer can agree on without import cycles:
   enabling them cannot change any signature;
 - :func:`peak_rss_mb` — the process's memory high-water mark, and
   :func:`vm_hwm_mb` another live process's;
+- :func:`phase_peaks` — the traced-memory peak of each phase of one
+  vet, recorded at the phase boundaries ``api.vet`` marks with
+  :func:`phase_end`;
 - :func:`rate` and :func:`tally` — the hit rates and breakdowns the
   bench reports carry.
 """
@@ -18,8 +21,10 @@ Small pieces every layer can agree on without import cycles:
 from __future__ import annotations
 
 import statistics
+import time
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -103,6 +108,50 @@ class Counters(dict):
         for name, amount in other.items():
             merged[name] = merged.get(name, 0) + amount
         return merged
+
+
+#: While :func:`phase_peaks` runs: the tracemalloc peak of each vet
+#: phase ended so far, in bytes. Process-wide, as tracemalloc is.
+_PHASE_PEAKS: list[int] | None = None
+
+
+def phase_end() -> float:
+    """``time.perf_counter()``, read where a vet phase ends. Under
+    :func:`phase_peaks` it also records the phase's tracemalloc peak and
+    starts the next phase's."""
+    if _PHASE_PEAKS is not None:
+        import tracemalloc
+
+        _PHASE_PEAKS.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+    return time.perf_counter()
+
+
+@contextmanager
+def phase_peaks() -> Iterator[list[float]]:
+    """Trace memory while the body runs one vet. The yielded list then
+    holds each phase's peak (P1, P2, P3; only P1 for a prefiltered vet)
+    in MB over the traced memory at entry, so a phase's peak counts
+    what earlier phases left alive. Only allocations made in the body
+    are traced: run the vet once before to keep one-time caches out."""
+    global _PHASE_PEAKS
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    peaks: list[float] = []
+    raw: list[int] = []
+    _PHASE_PEAKS = raw
+    try:
+        yield peaks
+    finally:
+        _PHASE_PEAKS = None
+        if started:
+            tracemalloc.stop()
+    peaks.extend(round((peak - base) / 2**20, 2) for peak in raw)
 
 
 def peak_rss_mb(*, children: bool = True) -> float | None:

@@ -71,6 +71,42 @@ class RpcError(Exception):
         return {"error": self.code, "detail": self.detail}
 
 
+#: The most bytes one request may carry through either front door: a
+#: stdio request line, or an HTTP request line, header line or body.
+#: Each door reads with this as its stream limit, so memory stays
+#: bounded. A JSON-escaped addon source takes at most a few bytes per
+#: source byte, so 16 MiB carries sources of several MB, far above the
+#: largest addon in the corpus or the fleet. Longer requests get a typed
+#: 413 ``request-too-large`` and the door keeps serving.
+REQUEST_LIMIT = 16 * 1024 * 1024
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line from ``reader``, newline included; at EOF, whatever is
+    left (``b""`` when nothing is). A line over :data:`REQUEST_LIMIT`
+    is skipped through its newline and raises a 413."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        # Drop what the reader has scanned (no newline in it), then look
+        # for the newline that ends the over-long line.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+    raise RpcError(
+        413, "request-too-large", f"request line over {REQUEST_LIMIT} bytes"
+    )
+
+
 def _json_object(data: bytes, what: str) -> dict:
     """Decode one JSON object, or raise a 400 ``bad-json``."""
     try:
@@ -320,7 +356,8 @@ class VettingService:
 
 
 _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                 409: "Conflict", 500: "Internal Server Error"}
+                 409: "Conflict", 413: "Content Too Large",
+                 500: "Internal Server Error"}
 
 #: path prefix → RPC method for the GET/POST convenience routes.
 _HTTP_ROUTES = {
@@ -345,7 +382,7 @@ class HttpFrontDoor:
 
     async def start(self) -> int:
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=REQUEST_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -383,14 +420,14 @@ class HttpFrontDoor:
                 pass
 
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return 400, {"error": "bad-request"}
         verb, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -398,6 +435,10 @@ class HttpFrontDoor:
         length = headers.get("content-length", "0") or "0"
         if not (length.isascii() and length.isdigit()):
             raise RpcError(400, "bad-request", f"Content-Length {length!r}")
+        if int(length) > REQUEST_LIMIT:
+            raise RpcError(
+                413, "request-too-large", f"body over {REQUEST_LIMIT} bytes"
+            )
         try:
             body = await reader.readexactly(int(length))
         except asyncio.IncompleteReadError as exc:
@@ -424,9 +465,11 @@ class HttpFrontDoor:
 async def serve_stdio(service: VettingService) -> None:
     """Speak newline-delimited JSON-RPC on stdin/stdout: each request
     line ``{"id": ..., "method": ..., "params": {...}}`` gets exactly
-    one response line. EOF on stdin stops the service."""
+    one response line; a line over :data:`REQUEST_LIMIT` gets a
+    ``request-too-large`` error and is skipped. EOF on stdin stops the
+    service."""
     loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
+    reader = asyncio.StreamReader(limit=REQUEST_LIMIT)
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
     )
@@ -436,11 +479,11 @@ async def serve_stdio(service: VettingService) -> None:
         sys.stdout.flush()
 
     while True:
-        line = await reader.readline()
-        if not line:
-            break
         request_id = method = None
         try:
+            line = await _read_line(reader)
+            if not line:
+                break
             request = _json_object(line, "a request")
             request_id, method = request.get("id"), request.get("method")
             params = request.get("params") or {}

@@ -5,7 +5,8 @@ memo that outlived its analysis would pin every finished vet's states
 until a later entry evicted them. Each exit path of
 :meth:`Interpreter.run` — normal return, a raised budget trip, a
 salvaged trip, any other exception — must leave the memo empty, and
-repeated vets in one process must not accumulate memory.
+repeated vets in one process must not accumulate memory. Within one
+analysis, a hit must answer exactly what a fresh merge would.
 """
 
 import gc
@@ -17,6 +18,7 @@ from repro.analysis import AnalysisBudgetExceeded, analyze, interpreter
 from repro.api import vet
 from repro.browser import BrowserEnvironment
 from repro.domains import pmap
+from repro.domains.pmap import PMap
 from repro.evaluation.scaling import synthesize_chain
 from repro.ir import lower
 from repro.js import parse
@@ -99,3 +101,37 @@ def test_repeated_vets_do_not_accumulate_memory():
     # trie nodes per vet of this program; the slack allows for lazily
     # filled caches, not for that.
     assert current[-1] - current[0] < 512 * 1024, current
+
+
+def _join(existing: frozenset, incoming: frozenset) -> frozenset:
+    return existing if incoming <= existing else existing | incoming
+
+
+STORED = PMap.from_dict({n: frozenset({n}) for n in range(200)})
+
+
+@pytest.mark.parametrize(
+    "incoming",
+    [
+        # Grows the stored map: the merge builds new nodes.
+        PMap.from_dict({n: frozenset({n, n + 1}) for n in range(100, 300)}),
+        # Adds nothing, from disjoint nodes: the merge adopts them.
+        PMap.from_dict({n: frozenset({n}) for n in range(0, 200, 3)}),
+    ],
+    ids=["grows", "adds-nothing"],
+)
+def test_memo_hit_answers_like_a_fresh_merge(incoming):
+    pmap.drop_merge_memo()
+    try:
+        first, first_changed = STORED.merge_changed(incoming, _join)
+        assert _memo_entries() > 0
+        hit, hit_changed = STORED.merge_changed(incoming, _join)
+        assert hit._root is first._root
+        assert hit_changed == first_changed
+        pmap.drop_merge_memo()
+        fresh, fresh_changed = STORED.merge_changed(incoming, _join)
+        assert hit_changed == fresh_changed
+        assert hit.to_dict() == fresh.to_dict()
+        assert hit_changed == (hit.to_dict() != STORED.to_dict())
+    finally:
+        pmap.drop_merge_memo()

@@ -217,11 +217,14 @@ class TestScalingReport:
                 assert entry["samples_kept"] == 2
                 assert entry["counters"]["fixpoint_steps"] > 0
                 assert entry["counters"]["wto_components"] > 0
+                peaks = [entry[f"p{n}_peak_mb"] for n in (1, 2, 3)]
+                assert all(peak > 0 for peak in peaks), peaks
 
     def test_peak_rss_recorded_and_rendered(self, scaling_report):
         peak = scaling_report["peak_rss_mb"]
         assert peak is None or peak > 0
         assert f"peak RSS {peak} MB" in render_scaling(scaling_report)
+        assert "peak MB P1/P2/P3 " in render_scaling(scaling_report)
 
     def test_flows_found_at_every_size(self, scaling_report):
         by_shape = {s["shape"]: s for s in scaling_report["shapes"]}

@@ -11,7 +11,7 @@ import pytest
 from repro.batch import VetTask
 from repro.perf import vm_hwm_mb
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import RpcError, VettingService
+from repro.service.server import REQUEST_LIMIT, RpcError, VettingService
 from repro.service.jobs import derive_job_id
 from repro.service.loadgen import DaemonHandle
 from tests.service.stdio_daemon import StdioDaemon
@@ -116,6 +116,27 @@ class TestHttpFrontDoor:
         assert json.loads(body)["error"] == "bad-request"
         assert ServiceClient(daemon.port).stats()["pid"] == daemon.process.pid
 
+    @pytest.mark.parametrize("part", ["request-line", "header-line", "body"])
+    def test_over_long_request_is_a_typed_413(self, daemon, part):
+        pad = b"a" * REQUEST_LIMIT
+        request_bytes = {
+            "request-line": b"GET /" + pad + b" HTTP/1.1\r\n\r\n",
+            "header-line": b"GET /stats HTTP/1.1\r\nX-Pad: " + pad
+            + b"\r\n\r\n",
+            "body": b"POST /submit HTTP/1.1\r\nContent-Length: "
+            + str(REQUEST_LIMIT + 1).encode() + b"\r\n\r\n",
+        }[part]
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(request_bytes)
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"413", response
+        assert json.loads(body)["error"] == "request-too-large"
+        assert ServiceClient(daemon.port).stats()["pid"] == daemon.process.pid
+
     def test_discovery_file_is_published(self, daemon):
         data = json.loads(
             (daemon.directory / "daemon.json").read_text("utf-8")
@@ -143,6 +164,31 @@ class TestStdioFrontDoor:
             assert reply["error"]["error"] == "bad-json"
             reply = daemon.send(b"{not json")
             assert reply["error"]["error"] == "bad-json"
+            assert daemon.call("stats")["pid"] == daemon.process.pid
+
+    def test_request_line_over_64_kib_is_served(self, tmp_path):
+        # asyncio's default stream limit is 64 KiB; an addon source
+        # routinely makes a longer submit line.
+        source = "".join(f"var v{n} = {n};\n" for n in range(6000))
+        with StdioDaemon(tmp_path) as daemon:
+            request = {"id": 1, "method": "submit",
+                       "params": {"task": {"name": "big", "source": source}}}
+            line = json.dumps(request).encode("utf-8")
+            assert len(line) > 64 * 1024
+            reply = daemon.send(line)
+            assert "error" not in reply, reply
+            [status] = daemon.wait([reply["result"]["id"]])
+            assert status["state"] == "done", status
+
+    def test_request_line_over_the_limit_is_skipped(self, tmp_path):
+        with StdioDaemon(tmp_path) as daemon:
+            reply = daemon.send(
+                b'{"id": 1, "method": "stats", "params": {"pad": "'
+                + b"a" * REQUEST_LIMIT + b'"}}'
+            )
+            assert reply["id"] is None
+            assert reply["error"]["error"] == "request-too-large"
+            # The rest of the long line is gone: the next line is served.
             assert daemon.call("stats")["pid"] == daemon.process.pid
 
 
