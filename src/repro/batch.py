@@ -36,8 +36,9 @@ signature inference) is independent of every other addon's, so
 
 The evaluation harness (Table 2, the timing protocol, ``addon-sig
 bench``) is built on this engine; :func:`vet_corpus` is the
-corpus-shaped convenience entry. The vetting service's pool
-(:mod:`repro.service.supervisor`) is a :class:`WorkerPool` too.
+corpus-shaped convenience entry. The vetting daemon
+(:mod:`repro.service.server`) drives the same :class:`Dispatch` over a
+:class:`WorkerPool` of its own.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -599,6 +601,10 @@ def _execute_task(
         )
 
 
+#: Why a task that broke the pool while it ran alone is poison.
+POISON_DETAIL = "its worker died as it ran alone"
+
+
 def _failed(task: VetTask, kind: FailureKind, error: str) -> VetOutcome:
     return VetOutcome(task.name, ok=False, failure=kind.value, error=error)
 
@@ -692,10 +698,8 @@ class WorkerPool:
     It owns the executor: workers boot through :func:`_worker_init`, a
     deadline reclaims them with :meth:`kill_workers`, and a pool that
     broke or was killed is dropped with :meth:`discard` and rebuilt by
-    the next :meth:`submit`. Its callers keep only their policy:
-    :func:`_run_pool` turns pool faults into outcomes, solo reruns and
-    poison; :class:`repro.service.supervisor.SupervisedPool` turns them
-    into job errors for the daemon.
+    the next :meth:`submit`. :class:`Dispatch` holds the policy over it
+    that batch and service vetting share.
 
     ``start_method`` is the one thing the callers set differently: the
     batch engine forks (its parent loaded the analyzer already), the
@@ -729,6 +733,12 @@ class WorkerPool:
             executor.submit(os.getpid) for _ in range(self.workers)
         ]
         self._executor = executor
+
+    @property
+    def live(self) -> bool:
+        """Is an executor built? False before :meth:`start` and after a
+        discard."""
+        return self._executor is not None
 
     def submit(self, fn, /, *args) -> Future:
         self.start()
@@ -767,6 +777,165 @@ class WorkerPool:
             for process in self._processes().values()
             if process.is_alive() and process.pid is not None
         )
+
+
+def _hard_timeout(task: VetTask, timeout: float | None) -> float | None:
+    """The pool-level backstop for one task: the cooperative per-run
+    deadline normally fires first, so this only catches work wedged
+    outside the fixpoint loop (parsing, PDG, inference, a stuck
+    worker). Generous by design: runs x timeout plus grace."""
+    if timeout is None:
+        return None
+    return timeout * max(1, task.runs) + 10.0
+
+
+class Dispatch:
+    """The dispatch policy that batch and service vetting share, over
+    one :class:`WorkerPool`. It does no I/O: its caller adds tasks and
+    calls :meth:`fill`, waits until a future in :attr:`in_flight` is
+    done or :meth:`backstop_in` seconds pass, then calls :meth:`settle`.
+
+    - At most ``window`` tasks are in flight.
+    - A task's hard backstop (:func:`_hard_timeout`) starts when it
+      joins the running set: workers take tasks in submission order,
+      so the oldest ``pool.workers`` tasks in flight are the running
+      ones. A backstop that fires fails its task ``budget-time`` and
+      kills the workers; the tasks that kill strands go straight back
+      into the window, charged nothing.
+    - A worker death strands the tasks in flight. Each reruns alone,
+      charged nothing, and its outcome counts ``pool_retries`` 1.
+
+    :meth:`settle` reports each finished task with its outcome, and a
+    task that broke the pool while it ran alone with ``None``: the one
+    event its callers map their own way. ``notify`` is called with
+    each future as it is done, on the pool's thread.
+    """
+
+    def __init__(
+        self, pool: WorkerPool, spec: SecuritySpec | None,
+        timeout: float | None, window: int, notify=None,
+    ) -> None:
+        self.pool = pool
+        self.spec = spec
+        self.timeout = timeout
+        self.window = window
+        self.notify = notify
+        self.queue: deque = deque()  # (item, task) not yet submitted
+        self.suspects: deque = deque()  # (item, task) stranded by a death
+        self.in_flight: dict[Future, tuple] = {}  # future -> (item, task)
+        self._deadlines: dict[Future, float] = {}  # running ones
+        self._solo = self._broken = self._killed = False
+
+    def add(self, item, task: VetTask) -> None:
+        self.queue.append((item, task))
+
+    def __bool__(self) -> bool:
+        return bool(self.queue or self.suspects or self.in_flight)
+
+    @property
+    def room(self) -> int:
+        """How many more tasks the window takes; none while stranded
+        tasks rerun or a broken pool drains."""
+        if self.suspects or self._solo or self._broken:
+            return 0
+        return max(0, self.window - len(self.in_flight) - len(self.queue))
+
+    def fill(self) -> None:
+        """Submit queued tasks up to the window, or the next stranded
+        task alone. A pool that broke with nothing in flight is
+        discarded; the next submit builds a fresh one."""
+        if self.suspects:
+            if not (self.in_flight or self._broken):
+                self._solo = self._submit(self.suspects)
+        else:
+            while (self.queue and not self._broken
+                   and len(self.in_flight) < self.window):
+                self._submit(self.queue)
+        self._discard_drained()
+
+    def _submit(self, entries: deque) -> bool:
+        from concurrent.futures.process import BrokenProcessPool
+
+        entry = entries.popleft()
+        try:
+            future = self.pool.submit(
+                _execute_task, entry[1], self.spec, self.timeout
+            )
+        except BrokenProcessPool:  # broke since the last completion
+            entries.appendleft(entry)
+            self._broken = True
+            return False
+        if self.notify is not None:
+            future.add_done_callback(self.notify)
+        self.in_flight[future] = entry
+        return True
+
+    def backstop_in(self) -> float | None:
+        """Seconds until the first backstop of a running task fires;
+        ``None`` without one, or while a broken pool drains. Starts the
+        clocks of the tasks that joined the running set since the last
+        call."""
+        now = time.monotonic()
+        for future in list(self.in_flight)[:self.pool.workers]:
+            if future not in self._deadlines:
+                hard = _hard_timeout(self.in_flight[future][1], self.timeout)
+                self._deadlines[future] = inf if hard is None else now + hard
+        first = min(self._deadlines.values(), default=inf)
+        return None if self._broken or first == inf else max(0.0, first - now)
+
+    def settle(self) -> list[tuple[object, VetOutcome | None]]:
+        """Collect every done task, then fire the first backstop that
+        is due: ``(item, outcome)`` for each task that finished, and
+        ``(item, None)`` for one that broke the pool while it ran
+        alone."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        events: list[tuple[object, VetOutcome | None]] = []
+        for future in [f for f in self.in_flight if f.done()]:
+            item, task = entry = self.in_flight.pop(future)
+            self._deadlines.pop(future, None)
+            try:
+                outcome = future.result()
+            except BrokenProcessPool:
+                self._broken = True
+                if self._killed:
+                    self.queue.appendleft(entry)
+                elif self._solo:
+                    events.append((item, None))
+                else:
+                    self.suspects.append(entry)
+                continue
+            except Exception as exc:  # e.g. an unpicklable result
+                outcome = _failed(
+                    task, classify_exception(exc),
+                    f"{type(exc).__name__}: {exc}",
+                )
+            events.append((item, self._rerun(outcome)))
+        first = min(self._deadlines, key=self._deadlines.get, default=None)
+        if (first is not None and not self._broken
+                and self._deadlines[first] <= time.monotonic()):
+            # Wedged outside the fixpoint: only a kill reclaims it.
+            item, task = self.in_flight.pop(first)
+            del self._deadlines[first]
+            self.pool.kill_workers()
+            self._broken = self._killed = True
+            events.append((item, self._rerun(_failed(
+                task, FailureKind.BUDGET_TIME,
+                f"timeout: exceeded {self.timeout}s wall-clock budget",
+            ))))
+        self._discard_drained()
+        return events
+
+    def _rerun(self, outcome: VetOutcome) -> VetOutcome:
+        return _bump_counter(outcome, "pool_retries") if self._solo else outcome
+
+    def _discard_drained(self) -> None:
+        if self.in_flight:
+            return
+        self._solo = False
+        if self._broken:
+            self.pool.discard()
+            self._broken = self._killed = False
 
 
 # ----------------------------------------------------------------------
@@ -940,83 +1109,6 @@ def vet_many(
     return ordered
 
 
-def _hard_timeout(task: VetTask, timeout: float | None) -> float | None:
-    """The pool-level backstop for one task: the cooperative per-run
-    deadline normally fires first, so this only catches work wedged
-    outside the fixpoint loop (parsing, PDG, inference, a stuck
-    worker). Generous by design: runs x timeout plus grace."""
-    if timeout is None:
-        return None
-    return timeout * max(1, task.runs) + 10.0
-
-
-def _run_window(
-    pool: WorkerPool, queue: deque, spec: SecuritySpec | None,
-    timeout: float | None, limit: int,
-) -> tuple[list, list]:
-    """Run ``queue`` on ``pool``, at most ``limit`` tasks in flight,
-    until it is empty or the pool breaks (then it is discarded). Returns
-    the ``(index, key, outcome)`` results and the tasks in flight when a
-    worker died. A hard backstop that fires fails its task ``budget-time``
-    and kills the workers; the tasks that kill strands go back to ``queue``."""
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    results, stranded = [], []
-    in_flight: dict[Future, tuple] = {}  # future -> (index, task, key)
-    deadlines: dict[Future, float] = {}
-    broken = killed = False
-    while (queue and not broken) or in_flight:
-        while queue and not broken and len(in_flight) < limit:
-            item = queue.popleft()
-            try:
-                future = pool.submit(_execute_task, item[1], spec, timeout)
-            except BrokenProcessPool:  # broke since the last completion
-                queue.appendleft(item)
-                broken = True
-            else:
-                in_flight[future] = item
-        # Workers take tasks in submission order, so the oldest in flight
-        # run: a backstop starts as its task joins them, not when queued.
-        now = time.monotonic()
-        running = list(in_flight)[:pool.workers]
-        for future in running:
-            hard = _hard_timeout(in_flight[future][1], timeout) or 0.0
-            deadlines.setdefault(future, now + hard)
-        first = min(running, key=deadlines.get, default=None)
-        # No deadline without a timeout, nor once broken: the rest drain.
-        done, _ = wait(
-            in_flight,
-            None if broken or timeout is None
-            else max(0.0, deadlines[first] - now),
-            FIRST_COMPLETED,
-        )
-        if not done and not broken:
-            # Wedged outside the fixpoint: only a kill reclaims it.
-            index, task, key = in_flight.pop(first)
-            pool.kill_workers()
-            broken = killed = True
-            results.append((index, key, _failed(
-                task, FailureKind.BUDGET_TIME,
-                f"timeout: exceeded {timeout}s wall-clock budget",
-            )))
-        for future in done:
-            index, task, key = item = in_flight.pop(future)
-            try:
-                results.append((index, key, future.result()))
-            except BrokenProcessPool:
-                broken = True
-                (queue.appendleft if killed else stranded.append)(item)
-            except Exception as exc:  # e.g. an unpicklable result
-                results.append((index, key, _failed(
-                    task, classify_exception(exc),
-                    f"{type(exc).__name__}: {exc}",
-                )))
-    if broken:
-        pool.discard()
-    return results, stranded
-
-
 def _run_pool(
     pending: list[tuple[int, VetTask, str | None]],
     spec: SecuritySpec | None,
@@ -1024,51 +1116,39 @@ def _run_pool(
     timeout: float | None,
 ) -> list[tuple[int, str | None, VetOutcome]]:
     """Fan pending tasks over a :class:`WorkerPool` of forked workers,
-    at most ``2 * worker_count`` in flight (:func:`_run_window`).
+    at most ``2 * worker_count`` in flight (:class:`Dispatch`).
 
-    A worker death strands only the tasks in flight; each reruns alone
-    on a rebuilt pool, where its outcome stands (``pool_retries`` 1) or,
-    if it breaks the pool again, it ends ``poison-job``. It never runs
-    in the parent. A pool that cannot boot is an environment fault:
-    tasks never submitted run in-process, stranded ones end
-    ``worker-crash``.
+    A task that breaks the pool while it runs alone ends ``poison-job``;
+    no stranded task runs in the parent. A pool that cannot boot is an
+    environment fault: tasks never submitted run in-process, stranded
+    ones end ``worker-crash``.
     """
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import FIRST_COMPLETED, wait
 
     # Load the pipeline here, once, so every forked worker inherits it
     # instead of importing it again for each pool.
     _load_pipeline()
 
     results: list[tuple[int, str | None, VetOutcome]] = []
-    queue, suspects = deque(pending), deque()  # suspects: stranded by a death
     pool = WorkerPool(worker_count, start_method="fork")
+    dispatch = Dispatch(pool, spec, timeout, 2 * worker_count)
+    for entry in pending:
+        dispatch.add(entry, entry[1])
     try:
-        while queue or suspects:
-            try:
-                pool.start()
-                for probe in pool.boot_probes:
-                    probe.result()
-            except (OSError, ValueError, BrokenProcessPool):
-                break  # no fork/semaphores here, or workers die booting
-            if not suspects:
-                finished, stranded = _run_window(
-                    pool, queue, spec, timeout, 2 * worker_count
-                )
-                results += finished
-                suspects += stranded
-                continue
-            # One suspect at a time: a pool that breaks names its killer.
-            finished, stranded = _run_window(pool, suspects, spec, timeout, 1)
-            finished += [
-                (index, key, _failed(
-                    task, FailureKind.POISON, "its worker died as it ran alone"
-                ))
-                for index, task, key in stranded
-            ]
-            results += [
-                (index, key, _bump_counter(outcome, "pool_retries"))
-                for index, key, outcome in finished
-            ]
+        while dispatch:
+            if not pool.live:
+                try:
+                    pool.start()
+                except (OSError, ValueError):
+                    break  # no fork or semaphores here
+                if any(p.exception() is not None for p in pool.boot_probes):
+                    break  # workers die booting
+            dispatch.fill()
+            wait(dispatch.in_flight, dispatch.backstop_in(), FIRST_COMPLETED)
+            for (index, task, key), outcome in dispatch.settle():
+                if outcome is None:  # it broke the pool while it ran alone
+                    outcome = _failed(task, FailureKind.POISON, POISON_DETAIL)
+                results.append((index, key, outcome))
     except BaseException:
         pool.kill_workers()  # an interrupt must not wait out running tasks
         raise
@@ -1078,10 +1158,10 @@ def _run_pool(
         (index, key, _failed(
             task, FailureKind.WORKER_CRASH, "stranded; no pool could be rebuilt"
         ))
-        for index, task, key in suspects
+        for (index, task, key), _ in dispatch.suspects
     ] + [
         (index, key, _execute_task(task, spec, timeout))
-        for index, task, key in queue
+        for (index, task, key), _ in dispatch.queue
     ]
 
 

@@ -54,9 +54,9 @@ class FailureKind(enum.Enum):
     BUDGET_STATES = "budget-states"
     #: A pool worker process died (or the pool broke) mid-task.
     WORKER_CRASH = "worker-crash"
-    #: The job kept killing its workers and was quarantined so it
-    #: cannot wedge a queue: the service's after ``max_attempts``
-    #: crashes, a batch task's when it kills a worker running alone.
+    #: The job killed the worker it ran alone on, and was quarantined
+    #: so it cannot wedge a queue: a batch task the first time, a
+    #: service job once that has spent its ``max_attempts``.
     POISON = "poison-job"
     #: An on-disk cache entry could not be decoded (quarantined).
     CACHE_CORRUPT = "cache-corrupt"
@@ -167,45 +167,6 @@ class BudgetMeter:
         if kind is FailureKind.BUDGET_TIME:
             return f"exceeded {limits.max_seconds}s wall-clock deadline"
         return str(kind)  # pragma: no cover - only budget kinds expected
-
-
-# ----------------------------------------------------------------------
-# Retry policy
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with jitter for the vetting
-    service's crashed-job requeues. (The batch engine retries nothing
-    on a schedule: a task a worker death strands reruns once, alone,
-    and is poison if it kills that worker too.)
-
-    ``max_attempts`` counts *executions*: 3 means one first try plus at
-    most two retries; whatever still fails after that is failed (or
-    quarantined as poison) with a typed :class:`FailureKind` rather
-    than retried forever. Delays grow ``base_delay * 2**(attempt-1)``
-    up to ``max_delay``; ``jitter`` randomizes the top fraction of each
-    delay so a fleet of retriers does not thundering-herd a shared
-    resource. Pass a seeded ``random.Random`` for deterministic tests.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    jitter: float = 0.5
-
-    def allows(self, attempts: int) -> bool:
-        """May a job that has already run ``attempts`` times run again?"""
-        return attempts < self.max_attempts
-
-    def delay(self, attempt: int, rng=None) -> float:
-        """The backoff before retry number ``attempt`` (1-based)."""
-        raw = min(self.max_delay, self.base_delay * (2 ** max(0, attempt - 1)))
-        if self.jitter <= 0:
-            return raw
-        if rng is None:
-            import random as rng  # module-level uniform() is fine here
-        return raw * (1 - self.jitter) + raw * self.jitter * rng.random()
 
 
 # ----------------------------------------------------------------------

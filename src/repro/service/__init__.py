@@ -2,9 +2,9 @@
 
 Everything below this package exists so a store-scale deployment can
 treat vetting as *infrastructure*: submissions survive the daemon being
-killed, worker death is retried with backoff instead of wedging the
-queue, and verdicts are committed exactly once no matter how many times
-the machinery around them crashes.
+killed, a worker death costs only the job that caused it, and verdicts
+are committed exactly once no matter how many times the machinery
+around them crashes.
 
 - :mod:`repro.service.jobs` — the job vocabulary: :class:`Job`,
   :class:`JobState`, and the submission payload;
@@ -15,13 +15,13 @@ the machinery around them crashes.
   so execution is at-least-once but result commit is idempotent —
   a replayed job that already committed is recognized, not re-run;
 - :mod:`repro.service.supervisor` — :class:`SupervisedPool`: the
-  daemon's async policy over the batch engine's
-  :class:`repro.batch.WorkerPool` (workers forked from one template
-  that preloaded the vetting pipeline, rebuilt off the event loop on
-  worker death, per-job hard deadlines that kill the wedged worker,
-  layered over the cooperative :class:`repro.faults.Budget`);
-- :mod:`repro.service.server` — :class:`VettingService` plus its two
-  front doors: newline-delimited JSON-RPC on stdin/stdout, or a
+  batch engine's :class:`repro.batch.WorkerPool`, its workers forked
+  from one template that preloaded the vetting pipeline, built and
+  rebuilt off the event loop;
+- :mod:`repro.service.server` — :class:`VettingService`, which drives
+  the batch engine's :class:`repro.batch.Dispatch` (stranded jobs rerun
+  alone, charged nothing; hard deadlines kill the wedged worker), plus
+  its two front doors: newline-delimited JSON-RPC on stdin/stdout, or a
   localhost HTTP listener (stdlib-only, asyncio);
 - :mod:`repro.service.daemon` — the thin entry module (``addon-sig
   serve``, ``python -m repro.service.daemon``): flags only, importing

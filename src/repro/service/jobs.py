@@ -5,11 +5,14 @@ queue bookkeeping that makes it survive crashes — a stable id, a state,
 and an attempt count. Job states form the lifecycle::
 
     QUEUED ──claim──▶ RUNNING ──commit──▶ DONE
-      │                  │ worker crash / daemon death
+      │                  │ killed its worker alone / daemon death
       │                  ├─ attempts left ──▶ QUEUED   (requeue)
       │                  └─ attempts spent ─▶ POISONED (quarantine)
       │                  └─ hard deadline ──▶ FAILED
       └──cancel──▶ CANCELLED
+
+A job stranded by another job's worker death stays ``RUNNING`` while
+it reruns alone: no new attempt, no new journal record.
 
 ``DONE`` means the *outcome was committed* — the outcome itself may
 record a vetting failure (parse error, budget trip); that is a vetted

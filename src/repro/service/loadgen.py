@@ -21,9 +21,12 @@ The workload mixes first submissions with diffvet update chains
 update's baseline from its version store — the marketplace hot path).
 Concurrent submitter threads drive the HTTP front door; a chaos thread
 watches progress and fires its kills at fixed completion fractions.
-``max_attempts`` is sized to ``kills + 2`` so even a job unlucky enough
-to be hit by *every* chaos event cannot be poisoned — the exactly-once
-check stays deterministic.
+A chaos event charges a job an attempt only when it lands while the
+job runs alone (a worker kill during the rerun of a job another kill
+stranded) or while the job runs at all (a daemon kill), so
+``max_attempts`` is sized to ``kills + 2``: even a job unlucky enough
+to be hit by *every* chaos event cannot be poisoned, and the
+exactly-once check stays deterministic.
 
 The report (``BENCH_service.json``) carries p50/p95/p99 submit→terminal
 latency for both runs, per-kill recovery timings (a worker kill's

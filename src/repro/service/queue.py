@@ -13,11 +13,12 @@ committed exactly once even though the *work* may run twice.
 
 Poison-job quarantine closes the loop on pathological submissions: the
 ``start`` record is journaled before each attempt, so attempts survive
-restarts, and a job that keeps crashing the machinery (worker death,
-daemon death mid-run) exhausts its attempt budget and is parked in
-state ``POISONED`` with :data:`repro.faults.FailureKind.POISON` rather
-than wedging the queue forever — exactly the service-level analogue of
-the batch engine's capped pool retries.
+restarts, and a job that keeps crashing the machinery (killing its
+worker while it runs alone, or the daemon mid-run) exhausts its attempt
+budget and is parked in state ``POISONED`` with
+:data:`repro.faults.FailureKind.POISON` rather than wedging the queue
+forever. A job stranded by another job's worker death reruns on its
+original ``start`` record and is charged nothing.
 
 The queue is synchronous and thread-safe (one lock); the asyncio daemon
 drives it from the event loop and wakes its scheduler on submits.
@@ -32,7 +33,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from repro.batch import VetTask
-from repro.faults import FailureKind, RetryPolicy
+from repro.faults import FailureKind
 from repro.service.jobs import (
     Job,
     JobState,
@@ -41,6 +42,10 @@ from repro.service.jobs import (
     task_to_json,
 )
 from repro.store import Journal, JsonStore
+
+#: How many times a job may start before a crash quarantines it: one
+#: first try plus two retries.
+DEFAULT_MAX_ATTEMPTS = 3
 
 
 class DurableJobQueue:
@@ -64,8 +69,7 @@ class DurableJobQueue:
         self.directory = Path(directory)
         self.shards = max(1, shards)
         self.max_attempts = (
-            max_attempts if max_attempts is not None
-            else RetryPolicy().max_attempts
+            max_attempts if max_attempts is not None else DEFAULT_MAX_ATTEMPTS
         )
         self._journals = [
             Journal(
@@ -269,9 +273,9 @@ class DurableJobQueue:
             })
 
     def crashed(self, job_id: str, error: str = "") -> JobState:
-        """A worker died under this job: requeue it while attempts
-        remain, quarantine it as poison once they are spent. Returns
-        the resulting state."""
+        """The job killed its worker as it ran alone: requeue it while
+        attempts remain, quarantine it as poison once they are spent.
+        Returns the resulting state."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.terminal:

@@ -5,12 +5,13 @@ The :class:`VettingService` glues the crash-safe layers together:
 - submissions go through the :class:`~repro.service.queue
   .DurableJobQueue` (journal-then-ack, so an acknowledged submit
   survives any later crash);
-- an asyncio scheduler feeds claimed jobs to the
-  :class:`~repro.service.supervisor.SupervisedPool`, at most one job
-  per worker slot;
-- a worker crash backs off under the shared
-  :class:`~repro.faults.RetryPolicy` and requeues the job (or
-  quarantines it as poison once its attempts are spent); a job that
+- an asyncio scheduler claims jobs only as a worker slot frees and
+  runs them through the batch engine's :class:`~repro.batch.Dispatch`
+  on the :class:`~repro.service.supervisor.SupervisedPool`: a worker
+  death strands the jobs in flight, and each reruns alone on its
+  original ``start`` record, charged nothing. Only a job that breaks
+  the pool while it runs alone is charged an attempt: it is requeued,
+  or quarantined as poison once ``max_attempts`` are spent. A job that
   outlives its hard deadline fails with ``budget-time``;
 - committed clean outcomes extend the service's
   :class:`~repro.diffvet.store.VersionStore` chains (exactly once per
@@ -38,24 +39,19 @@ import asyncio
 import dataclasses
 import json
 import os
-import random
 import signal
 import sys
 import time
 from pathlib import Path
 
-from repro.batch import VetOutcome, VetTask
+from repro.batch import POISON_DETAIL, Dispatch, VetOutcome, VetTask
 from repro.diffvet.store import VersionStore
-from repro.faults import FailureKind, RetryPolicy
+from repro.faults import FailureKind
 from repro.lazy import sha256_hex
 from repro.perf import peak_rss_mb, vm_hwm_mb
 from repro.service.jobs import Job, JobState, task_from_json
 from repro.service.queue import DurableJobQueue
-from repro.service.supervisor import (
-    JobDeadlineError,
-    SupervisedPool,
-    WorkerCrashError,
-)
+from repro.service.supervisor import SupervisedPool
 
 
 class RpcError(Exception):
@@ -128,24 +124,26 @@ class VettingService:
         workers: int = 2,
         spec=None,
         timeout: float | None = None,
-        retry: RetryPolicy | None = None,
+        max_attempts: int | None = None,
         fsync: bool = True,
         max_chains: int | None = None,
     ) -> None:
         self.directory = Path(directory)
-        self.retry = retry if retry is not None else RetryPolicy()
         self.queue = DurableJobQueue(
-            self.directory, max_attempts=self.retry.max_attempts, fsync=fsync
+            self.directory, max_attempts=max_attempts, fsync=fsync
         )
-        self.pool = SupervisedPool(workers, spec=spec, timeout=timeout)
+        self.pool = SupervisedPool(workers)
+        # A window of one job per worker: no job is claimed, and its
+        # attempt journaled, before a worker can take it.
+        self.dispatch = Dispatch(
+            self.pool, spec, timeout, self.pool.workers, notify=self._notify
+        )
         self.versions = VersionStore(self.directory, max_chains=max_chains)
-        self._rng = random.Random(0xC0FFEE)
         self._running = False
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._scheduler_task: asyncio.Task | None = None
-        self._job_tasks: set[asyncio.Task] = set()
         self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.pool.workers)
         self.started_at = time.monotonic()
         # Crash healing: a DONE job whose version record was lost in
         # the commit→record window is re-recorded (idempotently) here.
@@ -160,6 +158,7 @@ class VettingService:
     # -- scheduling ----------------------------------------------------
 
     async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
         self.pool.boot()  # jobs wait for the pool; requests do not
         self._running = True
         self._scheduler_task = asyncio.create_task(self._scheduler())
@@ -172,17 +171,13 @@ class VettingService:
         self._running = False
         self._wake.set()
         if self._scheduler_task is not None:
+            await asyncio.wait([self._scheduler_task], timeout=grace)
             self._scheduler_task.cancel()
             try:
                 await self._scheduler_task
             except asyncio.CancelledError:
                 pass
-        if self._job_tasks:
-            await asyncio.wait(self._job_tasks, timeout=grace)
-        abandoned = bool(self._job_tasks)
-        for task in self._job_tasks:
-            task.cancel()
-        await self.pool.close(kill=abandoned)
+        await self.pool.close(kill=bool(self.dispatch.in_flight))
         self.queue.compact()
         self.queue.close()
         self._stopped.set()
@@ -190,23 +185,74 @@ class VettingService:
     async def wait_stopped(self) -> None:
         await self._stopped.wait()
 
+    def _notify(self, future) -> None:
+        """Wake the scheduler as a job's future is done (pool thread)."""
+        try:
+            self._loop.call_soon_threadsafe(self._wake.set)  # type: ignore[union-attr]
+        except RuntimeError:  # the loop closed: nothing waits any more
+            pass
+
     async def _scheduler(self) -> None:
-        while self._running:
-            await self._slots.acquire()
-            if not self._running:
-                self._slots.release()
-                return
-            # Clear before claiming: a submit that lands after the clear
-            # sets the event, so a failed claim cannot sleep through it.
+        dispatch = self.dispatch
+        while self._running or dispatch.in_flight:
+            # Clear before settling and claiming: a job that finishes or
+            # a submit that lands after the clear sets the event again.
             self._wake.clear()
-            job = self.queue.claim()
-            if job is None:
-                self._slots.release()
-                await self._wake.wait()
-                continue
-            task = asyncio.create_task(self._run_job(job))
-            self._job_tasks.add(task)
-            task.add_done_callback(self._job_tasks.discard)
+            for job, outcome in dispatch.settle():
+                self._guarded(self._finish, job, outcome)
+            while self._running and dispatch.room:
+                job = self.queue.claim()
+                if job is None:
+                    break
+                self._guarded(self._admit, job)
+            if self._running and (dispatch.queue or dispatch.suspects):
+                if not self.pool.live:
+                    await self._boot()
+                    continue
+                dispatch.fill()
+                if not self.pool.live:
+                    continue  # it broke before a job reached it
+            try:
+                await asyncio.wait_for(
+                    self._wake.wait(), dispatch.backstop_in()
+                )
+            except asyncio.TimeoutError:
+                pass  # a backstop is due: the next settle fires it
+
+    async def _boot(self) -> None:
+        """Wait for the pool's build; if it cannot be built, fail the
+        jobs that wait for it rather than wedge them."""
+        try:
+            await asyncio.shield(self.pool.boot())
+        except Exception as exc:
+            waiting = [*self.dispatch.queue, *self.dispatch.suspects]
+            self.dispatch.queue.clear()
+            self.dispatch.suspects.clear()
+            for job, _ in waiting:
+                self._fail_internal(job, exc)
+
+    def _admit(self, job: Job) -> None:
+        self.dispatch.add(job, self._resolve_baseline(job.task))
+
+    def _finish(self, job: Job, outcome: VetOutcome | None) -> None:
+        """Map one dispatch event onto the durable queue."""
+        if outcome is None:  # it broke the pool while it ran alone
+            self.queue.crashed(job.id, POISON_DETAIL)
+        elif outcome.failure == FailureKind.BUDGET_TIME.value:
+            self.queue.fail(job.id, FailureKind.BUDGET_TIME, outcome.error or "")
+        elif self.queue.commit_result(job.id, outcome.to_json()):
+            self._record_version(job.task, outcome)
+
+    def _guarded(self, step, job: Job, *args) -> None:
+        try:
+            step(job, *args)
+        except Exception as exc:  # a service bug: fail, never wedge
+            self._fail_internal(job, exc)
+
+    def _fail_internal(self, job: Job, exc: Exception) -> None:
+        self.queue.fail(
+            job.id, FailureKind.INTERNAL, f"{type(exc).__name__}: {exc}"
+        )
 
     def _resolve_baseline(self, task: VetTask) -> VetTask:
         """The service shape of differential vetting: an update with no
@@ -223,36 +269,6 @@ class VettingService:
             baseline_source=head.source,
             baseline_signature_text=head.signature_text,
         )
-
-    async def _run_job(self, job: Job) -> None:
-        try:
-            try:
-                outcome = await self.pool.run(self._resolve_baseline(job.task))
-            except WorkerCrashError as exc:
-                # Back off (shared capped-exponential policy) *before*
-                # requeueing — once the job is back in the pending queue
-                # the scheduler may claim it immediately. A daemon death
-                # during the sleep replays the job as mid-run, which the
-                # restart requeues anyway.
-                if self.queue.max_attempts > job.attempts:
-                    await asyncio.sleep(
-                        self.retry.delay(job.attempts, self._rng)
-                    )
-                self.queue.crashed(job.id, str(exc))
-                return
-            except JobDeadlineError as exc:
-                self.queue.fail(job.id, FailureKind.BUDGET_TIME, str(exc))
-                return
-            committed = self.queue.commit_result(job.id, outcome.to_json())
-            if committed:
-                self._record_version(job.task, outcome)
-        except Exception as exc:  # supervisor bug: fail, never wedge
-            self.queue.fail(
-                job.id, FailureKind.INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        finally:
-            self._slots.release()
-            self._wake.set()
 
     def _record_version(self, task: VetTask, outcome: VetOutcome) -> None:
         """Advance the addon's version chain — exactly once per distinct
@@ -325,7 +341,7 @@ class VettingService:
         return job
 
     def stats(self) -> dict:
-        pool = self.pool.stats()
+        pool = {**self.pool.stats(), "timeout_s": self.dispatch.timeout}
         template = pool["template_pid"]
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
@@ -342,11 +358,6 @@ class VettingService:
                 "forkserver_hwm_mb": (
                     vm_hwm_mb(template) if template is not None else None
                 ),
-            },
-            "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "base_delay_s": self.retry.base_delay,
-                "max_delay_s": self.retry.max_delay,
             },
         }
 
@@ -505,12 +516,11 @@ async def serve_stdio(service: VettingService) -> None:
 async def _amain(arguments: argparse.Namespace) -> int:
     from repro.store import atomic_write_json
 
-    retry = RetryPolicy(max_attempts=max(1, arguments.max_attempts))
     service = VettingService(
         arguments.dir,
         workers=arguments.workers,
         timeout=arguments.timeout,
-        retry=retry,
+        max_attempts=max(1, arguments.max_attempts),
         fsync=not arguments.no_fsync,
         max_chains=arguments.max_chains,
     )

@@ -1,18 +1,16 @@
-"""SupervisedPool: typed outcomes through, crashes and deadlines out."""
+"""SupervisedPool under the shared dispatch core: typed outcomes come
+through, a worker death heals, and a wedged worker is killed."""
 
-import asyncio
 import os
 import signal
-import time
+import threading
+from concurrent.futures import FIRST_COMPLETED, wait
 
 import pytest
 
-from repro.batch import VetTask
-from repro.service.supervisor import (
-    JobDeadlineError,
-    SupervisedPool,
-    WorkerCrashError,
-)
+from repro import batch
+from repro.batch import Dispatch, VetTask
+from repro.service.supervisor import SupervisedPool
 
 pytestmark = pytest.mark.service
 
@@ -21,7 +19,28 @@ pytestmark = pytest.mark.service
 def pool():
     pool = SupervisedPool(workers=1)
     yield pool
-    pool.shutdown()
+    pool.shutdown(wait=True)
+
+
+def _vet(pool, *tasks, timeout=None) -> dict:
+    """Run ``tasks`` through a :class:`Dispatch` on ``pool``, as the
+    daemon does; returns each task name's event (``None`` for a task
+    that broke the pool while it ran alone)."""
+    dispatch = Dispatch(pool, None, timeout, pool.workers)
+    for task in tasks:
+        dispatch.add(task.name, task)
+    events = {}
+    while dispatch:
+        dispatch.fill()
+        wait(dispatch.in_flight, dispatch.backstop_in(), FIRST_COMPLETED)
+        events.update(dispatch.settle())
+    return events
+
+
+def _big(statements: int) -> str:
+    return "\n".join(
+        f"var v{n} = document.cookie; send(v{n});" for n in range(statements)
+    )
 
 
 def test_run_returns_typed_outcome(pool):
@@ -30,87 +49,67 @@ def test_run_returns_typed_outcome(pool):
     xhr.open("GET", "https://feed.example/items", true);
     xhr.send(null);
     """
-    outcome = asyncio.run(pool.run(VetTask(name="ok", source=source)))
+    outcome = _vet(pool, VetTask(name="ok", source=source))["ok"]
     assert outcome.ok
     assert "feed.example" in outcome.signature_text
 
 
 def test_per_addon_faults_stay_inside_the_outcome(pool):
-    outcome = asyncio.run(
-        pool.run(VetTask(name="broken", source="var broken = ;;;("))
-    )
-    assert not outcome.ok
-    assert outcome.failure == "parse-error"
+    outcome = _vet(pool, VetTask(name="broken", source="var broken = ;;;("))
+    assert not outcome["broken"].ok
+    assert outcome["broken"].failure == "parse-error"
 
 
 @pytest.mark.faults
-def test_worker_sigkill_surfaces_as_crash_and_pool_heals(pool):
-    async def crash_then_recover():
-        # Warm the pool so there is a worker to kill.
-        await pool.run(VetTask(name="warm", source="var w = 0;"))
-        pids = pool.worker_pids()
-        assert pids, "spawned worker should be visible"
-
-        async def kill_soon():
-            await asyncio.sleep(0.2)
-            os.kill(pids[0], signal.SIGKILL)
-
-        killer = asyncio.ensure_future(kill_soon())
-        with pytest.raises(WorkerCrashError):
-            # Big enough to still be running when the kill lands.
-            big = "\n".join(
-                f"var v{n} = document.cookie; send(v{n});"
-                for n in range(2000)
-            )
-            await pool.run(VetTask(name="victim", source=big))
-        await killer
-
-        healed = await pool.run(VetTask(name="after", source="var a = 1;"))
-        return healed
-
-    healed = asyncio.run(crash_then_recover())
-    assert healed.ok
-    assert pool.rebuilds >= 1
+def test_worker_sigkill_strands_the_job_and_pool_heals(pool):
+    """A SIGKILL from outside strands the job it hit; the job reruns
+    alone on a rebuilt pool and its outcome stands."""
+    _vet(pool, VetTask(name="warm", source="var w = 0;"))
+    pids = pool.worker_pids()
+    assert pids, "spawned worker should be visible"
+    rebuilds = pool.rebuilds
+    killer = threading.Timer(0.2, os.kill, (pids[0], signal.SIGKILL))
+    killer.start()
+    try:
+        # Big enough to still be running when the kill lands.
+        victim = _vet(pool, VetTask(name="victim", source=_big(2000)))
+    finally:
+        killer.join()
+    assert victim["victim"].ok
+    assert victim["victim"].counters["pool_retries"] == 1
+    healed = _vet(pool, VetTask(name="after", source="var a = 1;"))
+    assert healed["after"].ok
+    assert pool.rebuilds == rebuilds + 1
     assert pool.worker_pids(), "pool rebuilt with fresh workers"
 
 
 @pytest.mark.faults
-def test_hard_deadline_fires_for_wedged_jobs():
-    """A job that outlives the hard backstop fails as a deadline, and
-    the wedged worker is reclaimed by a pool teardown. The production
-    backstop is deliberately generous (10s+ grace), so the test narrows
-    the seam instead of waiting it out."""
-    pool = SupervisedPool(workers=1, timeout=30.0)
-    pool._deadline = lambda task: 0.5
-
-    big = "\n".join(
-        f"var v{n} = document.cookie; send(v{n});" for n in range(5000)
-    )
+def test_hard_deadline_fires_for_wedged_jobs(monkeypatch):
+    """A job that outlives the hard backstop fails ``budget-time``, and
+    its wedged worker is killed and reaped. The production backstop is
+    deliberately generous (10s+ grace), so the test narrows it."""
+    pool = SupervisedPool(workers=1)
+    monkeypatch.setattr(batch, "_hard_timeout", lambda task, timeout: 0.5)
     running: list[int] = []
-
-    async def run_wedged():
-        async def capture_pids():
-            await asyncio.sleep(0.2)
-            running.extend(pool.worker_pids())
-
-        capture = asyncio.ensure_future(capture_pids())
-        try:
-            await pool.run(VetTask(name="wedged", source=big))
-        finally:
-            await capture
-
-    with pytest.raises(JobDeadlineError):
-        asyncio.run(run_wedged())
-    assert pool.rebuilds == 1
-    assert pool.worker_pids() == [], "wedged worker torn down"
-    assert running, "the wedged worker should be visible while it runs"
-    for pid in running:
-        # Killed and reaped: a live worker or an unreaped zombie would
-        # still accept signal 0.
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-
-    del pool._deadline  # back to the generous production backstop
-    healed = asyncio.run(pool.run(VetTask(name="after", source="var a = 1;")))
-    assert healed.ok
-    pool.shutdown()
+    capture = threading.Timer(0.2, lambda: running.extend(pool.worker_pids()))
+    pool.start()
+    capture.start()
+    try:
+        wedged = _vet(pool, VetTask(name="wedged", source=_big(5000)),
+                      timeout=30.0)["wedged"]
+        capture.join()
+        assert wedged.failure == "budget-time"
+        assert pool.rebuilds == 1
+        assert pool.worker_pids() == [], "wedged worker torn down"
+        assert running, "the wedged worker should be visible while it runs"
+        for pid in running:
+            # Killed and reaped: a live worker or an unreaped zombie
+            # would still accept signal 0.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        monkeypatch.undo()  # back to the generous production backstop
+        healed = _vet(pool, VetTask(name="after", source="var a = 1;"),
+                      timeout=30.0)
+        assert healed["after"].ok
+    finally:
+        pool.shutdown(wait=True)

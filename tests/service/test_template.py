@@ -3,7 +3,6 @@ while they vet, their parent is the template, they hold none of the
 daemon's sockets or state files, and the daemon reaps the template and
 every worker before it exits."""
 
-import asyncio
 import json
 import os
 import signal
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch import VetTask, template_pid
+from repro.batch import VetTask, _execute_task, template_pid
 from repro.service.supervisor import SupervisedPool
 from repro.service.client import ServiceClient
 from repro.service.loadgen import DaemonHandle
@@ -71,10 +70,10 @@ def test_a_worker_loads_nothing_after_boot():
         at_boot = pool.submit(eval, LOADED).result(timeout=60)
         assert pool.submit(os.getppid).result(timeout=60) == template_pid()
 
-        async def run_all():
-            return [await pool.run(task) for task in _tasks()]
-
-        outcomes = asyncio.run(run_all())
+        outcomes = [
+            pool.submit(_execute_task, task, None, None).result(timeout=60)
+            for task in _tasks()
+        ]
         assert all(outcome.ok for outcome in outcomes), outcomes
         assert outcomes[2].diff_verdict is not None
         assert outcomes[3].prefiltered
