@@ -805,10 +805,11 @@ class Dispatch:
     - A worker death strands the tasks in flight. Each reruns alone,
       charged nothing, and its outcome counts ``pool_retries`` 1.
 
-    :meth:`settle` reports each finished task with its outcome, and a
-    task that broke the pool while it ran alone with ``None``: the one
-    event its callers map their own way. ``notify`` is called with
-    each future as it is done, on the pool's thread.
+    :meth:`settle` reports each finished task with its outcome; the
+    task a backstop killed with ``killed`` set; and a task that broke
+    the pool while it ran alone with ``None``, the one event its
+    callers map their own way. ``notify`` is called with each future as
+    it is done, on the pool's thread.
     """
 
     def __init__(
@@ -847,7 +848,7 @@ class Dispatch:
         if self.suspects:
             if not (self.in_flight or self._broken):
                 self._solo = self._submit(self.suspects)
-        else:
+        elif not self._solo:  # nothing joins the last stranded task
             while (self.queue and not self._broken
                    and len(self.in_flight) < self.window):
                 self._submit(self.queue)
@@ -883,14 +884,15 @@ class Dispatch:
         first = min(self._deadlines.values(), default=inf)
         return None if self._broken or first == inf else max(0.0, first - now)
 
-    def settle(self) -> list[tuple[object, VetOutcome | None]]:
+    def settle(self) -> list[tuple[object, VetOutcome | None, bool]]:
         """Collect every done task, then fire the first backstop that
-        is due: ``(item, outcome)`` for each task that finished, and
-        ``(item, None)`` for one that broke the pool while it ran
+        is due: ``(item, outcome, killed)`` for each task that finished
+        or that the backstop killed (``killed`` true), and
+        ``(item, None, False)`` for one that broke the pool while it ran
         alone."""
         from concurrent.futures.process import BrokenProcessPool
 
-        events: list[tuple[object, VetOutcome | None]] = []
+        events: list[tuple[object, VetOutcome | None, bool]] = []
         for future in [f for f in self.in_flight if f.done()]:
             item, task = entry = self.in_flight.pop(future)
             self._deadlines.pop(future, None)
@@ -901,7 +903,7 @@ class Dispatch:
                 if self._killed:
                     self.queue.appendleft(entry)
                 elif self._solo:
-                    events.append((item, None))
+                    events.append((item, None, False))
                 else:
                     self.suspects.append(entry)
                 continue
@@ -910,7 +912,7 @@ class Dispatch:
                     task, classify_exception(exc),
                     f"{type(exc).__name__}: {exc}",
                 )
-            events.append((item, self._rerun(outcome)))
+            events.append((item, self._rerun(outcome), False))
         first = min(self._deadlines, key=self._deadlines.get, default=None)
         if (first is not None and not self._broken
                 and self._deadlines[first] <= time.monotonic()):
@@ -922,7 +924,7 @@ class Dispatch:
             events.append((item, self._rerun(_failed(
                 task, FailureKind.BUDGET_TIME,
                 f"timeout: exceeded {self.timeout}s wall-clock budget",
-            ))))
+            )), True))
         self._discard_drained()
         return events
 
@@ -1145,7 +1147,7 @@ def _run_pool(
                     break  # workers die booting
             dispatch.fill()
             wait(dispatch.in_flight, dispatch.backstop_in(), FIRST_COMPLETED)
-            for (index, task, key), outcome in dispatch.settle():
+            for (index, task, key), outcome, _ in dispatch.settle():
                 if outcome is None:  # it broke the pool while it ran alone
                     outcome = _failed(task, FailureKind.POISON, POISON_DETAIL)
                 results.append((index, key, outcome))

@@ -198,8 +198,8 @@ class VettingService:
             # Clear before settling and claiming: a job that finishes or
             # a submit that lands after the clear sets the event again.
             self._wake.clear()
-            for job, outcome in dispatch.settle():
-                self._guarded(self._finish, job, outcome)
+            for job, outcome, killed in dispatch.settle():
+                self._guarded(self._finish, job, outcome, killed)
             while self._running and dispatch.room:
                 job = self.queue.claim()
                 if job is None:
@@ -234,11 +234,15 @@ class VettingService:
     def _admit(self, job: Job) -> None:
         self.dispatch.add(job, self._resolve_baseline(job.task))
 
-    def _finish(self, job: Job, outcome: VetOutcome | None) -> None:
-        """Map one dispatch event onto the durable queue."""
+    def _finish(
+        self, job: Job, outcome: VetOutcome | None, killed: bool
+    ) -> None:
+        """Map one dispatch event onto the durable queue. Only the hard
+        backstop fails a job; every outcome of a vet that ran to its
+        end, a cooperative budget trip too, is committed."""
         if outcome is None:  # it broke the pool while it ran alone
             self.queue.crashed(job.id, POISON_DETAIL)
-        elif outcome.failure == FailureKind.BUDGET_TIME.value:
+        elif killed:
             self.queue.fail(job.id, FailureKind.BUDGET_TIME, outcome.error or "")
         elif self.queue.commit_result(job.id, outcome.to_json()):
             self._record_version(job.task, outcome)

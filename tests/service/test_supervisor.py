@@ -33,7 +33,7 @@ def _vet(pool, *tasks, timeout=None) -> dict:
     while dispatch:
         dispatch.fill()
         wait(dispatch.in_flight, dispatch.backstop_in(), FIRST_COMPLETED)
-        events.update(dispatch.settle())
+        events.update((item, outcome) for item, outcome, _ in dispatch.settle())
     return events
 
 

@@ -15,7 +15,9 @@ import pytest
 
 import repro.api
 from repro import batch
+from repro.analysis import AnalysisBudgetExceeded
 from repro.batch import POISON_DETAIL, VetTask
+from repro.faults import FailureKind
 from repro.service.jobs import task_to_json
 from repro.service.server import VettingService
 
@@ -29,10 +31,11 @@ pytestmark = [
 ]
 
 
-def _serve(directory, tasks: list[VetTask], **options) -> list:
+def _serve(directory, tasks: list[VetTask], **options) -> tuple:
     """Submit ``tasks`` to a fresh in-process service on a forked pool,
-    wait until every job is terminal, stop it; returns the jobs with
-    the service's ``max_attempts``."""
+    wait until every job is terminal, stop it; returns the jobs, their
+    committed outcomes (``None`` where none was) and the service's
+    ``max_attempts``."""
 
     async def drive():
         service = VettingService(directory, fsync=False, **options)
@@ -47,7 +50,11 @@ def _serve(directory, tasks: list[VetTask], **options) -> list:
             while not all(service.queue.get(i).terminal for i in ids):
                 assert time.monotonic() < give_up, service.stats()["queue"]
                 await asyncio.sleep(0.05)
-            return [service.queue.get(i) for i in ids], service.queue.max_attempts
+            return (
+                [service.queue.get(i) for i in ids],
+                [service.queue.result(i) for i in ids],
+                service.queue.max_attempts,
+            )
         finally:
             await service.stop()
 
@@ -73,7 +80,7 @@ def test_only_a_job_that_kills_its_worker_alone_is_charged(
         VetTask(name=f"ok{n}", source=f"var s{n} = document.cookie; send(s{n});")
         for n in range(4)
     ]
-    jobs, max_attempts = _serve(tmp_path, tasks, workers=3)
+    jobs, _, max_attempts = _serve(tmp_path, tasks, workers=3)
     for innocent in jobs[2:]:
         assert innocent.state == "done", innocent
         assert innocent.attempts == 1
@@ -117,7 +124,7 @@ def test_a_deadline_kill_charges_the_job_beside_it_nothing(
         batch, "_hard_timeout",
         lambda task, timeout: 0.5 if "WEDGE" in task.source else 30.0,
     )
-    (wedged, beside), _ = _serve(
+    (wedged, beside), _, _ = _serve(
         tmp_path / "service",
         [VetTask(name="wedged", source="var w = 1; // WEDGE"),
          VetTask(name="beside", source="var s = 2; // WAIT")],
@@ -128,3 +135,30 @@ def test_a_deadline_kill_charges_the_job_beside_it_nothing(
     assert beside.history == []
     assert (wedged.state, wedged.failure) == ("failed", "budget-time")
     assert wedged.attempts == 1
+
+
+def test_a_cooperative_budget_trip_is_committed_not_failed(
+    monkeypatch, tmp_path
+):
+    """Only the hard backstop fails a job. A vet that trips its
+    cooperative time budget and raises (no salvage) still ran to its
+    end in the worker: the job ends ``done``, its failed outcome
+    committed."""
+    original = repro.api.vet
+
+    def trips(source, *args, **kwargs):
+        if "TRIP" in source:
+            raise AnalysisBudgetExceeded(
+                "time budget exhausted", kind=FailureKind.BUDGET_TIME
+            )
+        return original(source, *args, **kwargs)
+
+    monkeypatch.setattr(repro.api, "vet", trips)
+    (tripped,), (outcome,), _ = _serve(
+        tmp_path, [VetTask(name="tripped", source="var t = 1; // TRIP")],
+        workers=2, timeout=5.0,
+    )
+    assert (tripped.state, tripped.attempts) == ("done", 1), tripped
+    assert outcome is not None
+    assert (outcome["ok"], outcome["failure"]) == (False, "budget-time")
+    assert "time budget exhausted" in outcome["error"]

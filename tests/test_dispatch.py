@@ -73,8 +73,9 @@ def _dispatch(workers: int, window: int, count: int, timeout=None):
 
 def _events(dispatch) -> dict:
     return {
-        item: outcome if outcome is None else (outcome.failure, outcome.counters)
-        for item, outcome in dispatch.settle()
+        item: None if outcome is None
+        else (outcome.failure, outcome.counters, killed)
+        for item, outcome, killed in dispatch.settle()
     }
 
 
@@ -84,7 +85,7 @@ def test_the_window_bounds_tasks_in_flight():
     assert pool.running() == ["t0", "t1", "t2", "t3"]
     assert dispatch.room == 0
     pool.finish("t0")
-    assert _events(dispatch) == {"t0": (None, {})}
+    assert _events(dispatch) == {"t0": (None, {}, False)}
     dispatch.fill()
     assert pool.running() == ["t1", "t2", "t3", "t4"]
 
@@ -125,7 +126,7 @@ def test_a_deadline_kill_fails_its_task_and_sends_the_rest_back_uncharged(
     assert dispatch.backstop_in() == 1.0
     clock.now = 101.0
     events = _events(dispatch)
-    assert events == {"t0": ("budget-time", {})}
+    assert events == {"t0": ("budget-time", {}, True)}
     assert pool.kills == 1
     assert _events(dispatch) == {}  # t1, t2 stranded by the kill
     assert pool.rebuilds == 1
@@ -134,7 +135,7 @@ def test_a_deadline_kill_fails_its_task_and_sends_the_rest_back_uncharged(
     dispatch.fill()
     assert pool.running() == ["t2", "t1"]  # back in the window, not alone
     pool.finish("t1")
-    assert _events(dispatch) == {"t1": (None, {})}
+    assert _events(dispatch) == {"t1": (None, {}, False)}
 
 
 def test_tasks_a_death_strands_rerun_alone_and_count_a_pool_retry():
@@ -150,16 +151,16 @@ def test_tasks_a_death_strands_rerun_alone_and_count_a_pool_retry():
     dispatch.fill()
     assert pool.running() == ["t0"]  # one at a time
     pool.finish("t0")
-    assert _events(dispatch) == {"t0": (None, {"pool_retries": 1})}
+    assert _events(dispatch) == {"t0": (None, {"pool_retries": 1}, False)}
     for name in ("t1", "t2", "t3"):
         dispatch.fill()
         assert pool.running() == [name]
         pool.finish(name)
-        assert _events(dispatch) == {name: (None, {"pool_retries": 1})}
+        assert _events(dispatch) == {name: (None, {"pool_retries": 1}, False)}
     dispatch.fill()  # back to the window: t4 never ran, so is no suspect
     assert pool.running() == ["t4"]
     pool.finish("t4")
-    assert _events(dispatch) == {"t4": (None, {})}
+    assert _events(dispatch) == {"t4": (None, {}, False)}
     assert not dispatch
 
 
@@ -176,7 +177,7 @@ def test_a_task_that_breaks_the_pool_alone_is_reported():
     dispatch.fill()
     assert pool.running() == ["t1"]
     pool.finish("t1")
-    assert _events(dispatch) == {"t1": (None, {"pool_retries": 1})}
+    assert _events(dispatch) == {"t1": (None, {"pool_retries": 1}, False)}
 
 
 def test_a_pool_broken_before_submit_takes_the_task_back_uncharged():
@@ -192,4 +193,36 @@ def test_a_pool_broken_before_submit_takes_the_task_back_uncharged():
     pool.submit = submit
     dispatch.fill()
     pool.finish("t0")
-    assert _events(dispatch) == {"t0": (None, {})}
+    assert _events(dispatch) == {"t0": (None, {}, False)}
+
+
+def test_nothing_joins_the_last_stranded_task_as_it_runs_alone():
+    """A submit that breaks puts its task back in the queue while the
+    tasks in flight become suspects. The queue waits until the last of
+    them has run alone, so a death then charges that task only."""
+    pool, dispatch = _dispatch(workers=2, window=3, count=4)
+    submit = pool.submit
+
+    def breaks_third(fn, task, *args):
+        if len(pool.submitted) == 2 and task.name == "t2":
+            raise BrokenProcessPool("broke as t2 was submitted")
+        return submit(fn, task, *args)
+
+    pool.submit = breaks_third
+    dispatch.fill()
+    assert pool.running() == ["t0", "t1"]
+    pool.break_all()
+    assert _events(dispatch) == {}
+    assert [item for item, _ in dispatch.suspects] == ["t0", "t1"]
+    assert [item for item, _ in dispatch.queue] == ["t2", "t3"]
+    dispatch.fill()
+    pool.finish("t0")
+    assert _events(dispatch) == {"t0": (None, {"pool_retries": 1}, False)}
+    dispatch.fill()
+    assert pool.running() == ["t1"]
+    dispatch.fill()  # e.g. a wake while t1 runs alone
+    assert pool.running() == ["t1"]
+    pool.break_all()
+    assert _events(dispatch) == {"t1": None}
+    dispatch.fill()
+    assert pool.running() == ["t2", "t3"]
