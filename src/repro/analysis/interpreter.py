@@ -73,6 +73,12 @@ from repro.ir.nodes import (
 #: Analysis-internal variable name for the per-function return slot.
 RETURN_SLOT = "%ret"
 
+#: Per-loop-head widening: after this many growing joins at one
+#: (head, context) node, the join is widened. High enough that ordinary
+#: programs converge well below it — widening is a termination
+#: safeguard, not a precision policy.
+WIDEN_AFTER = 512
+
 
 def channel_slot(channel: str) -> str:
     """The synthetic global variable carrying a message channel's payload.
@@ -262,18 +268,14 @@ class Interpreter:
         program: ProgramIR,
         environment: Environment | None = None,
         k: int = 1,
-        max_steps: int = 400_000,
         budget: Budget | None = None,
         salvage: bool = False,
-        widen_after: int = 512,
     ):
         self.program = program
         self.environment = environment or DefaultEnvironment()
         self.sensitivity = CallSiteSensitivity(k)
-        #: The cooperative budget; ``max_steps`` is the legacy spelling
-        #: of a steps-only budget and is ignored when ``budget`` is given.
-        self.budget = budget if budget is not None else Budget(max_steps=max_steps)
-        self.max_steps = self.budget.max_steps
+        #: The cooperative budget; ``None`` is the default steps-only one.
+        self.budget = budget if budget is not None else Budget()
         #: With ``salvage`` on, a tripped budget degrades the run (see
         #: :meth:`_salvage`) instead of raising AnalysisBudgetExceeded.
         self.salvage = salvage
@@ -287,11 +289,6 @@ class Interpreter:
         #: components stabilize before their results propagate outward.
         self.schedule = build_schedule(program)
         self._rank = self.schedule.rank
-        #: Per-loop-head widening: after this many growing joins at one
-        #: (head, context) node, the join is widened. High enough that
-        #: ordinary programs converge well below it — widening is a
-        #: termination safeguard, not a precision policy.
-        self.widen_after = widen_after
         self._head_joins: dict[Node, int] = {}
 
         self.states: dict[Node, State] = {}
@@ -492,7 +489,7 @@ class Interpreter:
             # past its join budget is widened so the cycle stabilizes.
             count = self._head_joins.get(node, 0) + 1
             self._head_joins[node] = count
-            if count >= self.widen_after:
+            if count >= WIDEN_AFTER:
                 merged = existing.widen(merged)
                 self.counters.bump("widenings")
         if merged is not existing:
@@ -1186,18 +1183,16 @@ def analyze(
     program: ProgramIR,
     environment: Environment | None = None,
     k: int = 1,
-    max_steps: int = 400_000,
     budget: Budget | None = None,
     salvage: bool = False,
 ) -> AnalysisResult:
     """Run the base analysis (phase P1 of the paper's pipeline).
 
     ``budget`` bounds the fixpoint cooperatively (steps, wall clock,
-    abstract states); ``max_steps`` is the legacy steps-only spelling.
-    With ``salvage`` a tripped budget yields a degraded result instead
-    of raising :class:`AnalysisBudgetExceeded`.
+    abstract states); ``None`` is the default steps-only budget. With
+    ``salvage`` a tripped budget yields a degraded result instead of
+    raising :class:`AnalysisBudgetExceeded`.
     """
     return Interpreter(
-        program, environment, k=k, max_steps=max_steps,
-        budget=budget, salvage=salvage,
+        program, environment, k=k, budget=budget, salvage=salvage,
     ).run()

@@ -437,7 +437,6 @@ def diff_vet(
     """
     from repro.diffvet.diff import diff_signatures
     from repro.diffvet.incremental import ChangeCertificate, certify_unchanged
-    from repro.signatures.explain import explain_flow
 
     front_end = select_front_end(old_source, new_source)
     resolved_spec = spec if spec is not None else front_end.default_spec()
@@ -462,17 +461,11 @@ def diff_vet(
             verdict="approve-fast",
             old_signature=old_signature,
             new_signature=old_signature,
-            diff=diff_signatures(old_signature, old_signature, resolved_spec),
+            diff=diff_signatures(old_signature, old_signature),
             old_report=old_report,
         )
     new_report = vet(new_source, spec=spec, k=k, budget=budget, recover=recover)
-    diff = diff_signatures(old_signature, new_report.signature, resolved_spec)
-    witnesses = []
-    if new_report.pdg is not None:
-        for entry in diff.review_flows:
-            witness = explain_flow(new_report.pdg, new_report.detail, entry)
-            if witness is not None:
-                witnesses.append(witness)
+    diff, witnesses = diff_against(old_signature, new_report)
     return DiffVetReport(
         certificate=certificate,
         verdict=diff.verdict,
@@ -483,3 +476,20 @@ def diff_vet(
         old_report=old_report,
         new_report=new_report,
     )
+
+
+def diff_against(old_signature: Signature, report: VettingReport):
+    """Diff ``report``'s signature against the approved ``old_signature``:
+    ``(SignatureDiff, witnesses)``, with an ``explain_flow`` witness for
+    every widened or new flow the report's PDG can explain."""
+    from repro.diffvet.diff import diff_signatures
+    from repro.signatures.explain import explain_flow
+
+    diff = diff_signatures(old_signature, report.signature)
+    witnesses = []
+    if report.pdg is not None:
+        for entry in diff.review_flows:
+            witness = explain_flow(report.pdg, report.detail, entry)
+            if witness is not None:
+                witnesses.append(witness)
+    return diff, witnesses

@@ -155,12 +155,6 @@ class VetTask:
     #: re-analyze in full, but still diff against the baseline; the
     #: bench uses off as the control arm).
     incremental: bool = True
-    #: Cost gate for the fast lane: skip certification when the new
-    #: version has fewer source characters than this (``None`` = the
-    #: engine default, ``FAST_LANE_MIN_SOURCE_CHARS``; 0 = always
-    #: attempt). Tests exercising fast-lane mechanics on tiny fixtures
-    #: set 0; production sweeps keep the default.
-    fast_lane_min_chars: int | None = None
 
 
 @dataclass
@@ -309,19 +303,15 @@ def cache_key(task: VetTask, spec: SecuritySpec | None) -> str:
             ),
             "baseline_sig": task.baseline_signature_text,
             "incremental": task.incremental,
-            "fast_lane_min_chars": task.fast_lane_min_chars,
         },
         sort_keys=True,
     )
     return sha256_hex(payload)
 
 
-def _cache_max_entries(override: int | None) -> int | None:
-    """The cache's LRU bound: an explicit override, else
-    ``$ADDON_SIG_CACHE_MAX_ENTRIES``, else unbounded. Zero or negative
-    disables the bound."""
-    if override is not None:
-        return override if override > 0 else None
+def _cache_max_entries() -> int | None:
+    """The cache's LRU bound: ``$ADDON_SIG_CACHE_MAX_ENTRIES``, else
+    unbounded. Zero or negative disables the bound."""
     env = os.environ.get("ADDON_SIG_CACHE_MAX_ENTRIES")
     if not env:
         return None
@@ -332,16 +322,12 @@ def _cache_max_entries(override: int | None) -> int | None:
     return parsed if parsed > 0 else None
 
 
-def _open_cache(
-    cache_dir: str | os.PathLike | None, max_entries: int | None
-) -> JsonStore:
+def _open_cache(cache_dir: str | os.PathLike | None) -> JsonStore:
     """The outcome cache as a crash-consistent :class:`JsonStore` (flat
     layout — the historical ``<key>.json`` format — no fsync: a crash
     may lose a fresh entry but can never tear one)."""
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    return JsonStore(
-        directory, shards=1, max_entries=_cache_max_entries(max_entries)
-    )
+    return JsonStore(directory, shards=1, max_entries=_cache_max_entries())
 
 
 def _cache_load(
@@ -402,15 +388,12 @@ def _bump_counter(outcome: VetOutcome, name: str, by: int = 1) -> VetOutcome:
 # Workers (module-level: picklable for the process pool)
 
 
-def _task_budget(task: VetTask, timeout: float | None) -> Budget | None:
-    """The per-run cooperative budget of a task; ``None`` means the
-    interpreter default (steps-only)."""
-    if timeout is None and task.max_steps is None:
-        return None
-    return Budget(
-        max_steps=task.max_steps if task.max_steps is not None else 400_000,
-        max_seconds=timeout,
-    )
+def _task_budget(task: VetTask, timeout: float | None) -> Budget:
+    """The per-run cooperative budget of a task (the default step
+    bound unless the task sets its own)."""
+    if task.max_steps is None:
+        return Budget(max_seconds=timeout)
+    return Budget(max_steps=task.max_steps, max_seconds=timeout)
 
 
 def _fast_lane_outcome(
@@ -469,22 +452,15 @@ def _fast_lane_outcome(
 def _diff_against_baseline(task: VetTask, report) -> tuple[str, list, list]:
     """Diff a full re-analysis against the task's baseline signature:
     ``(diff_verdict, diff_changes, diff_witnesses)``."""
-    from repro.diffvet.diff import diff_signatures
+    from repro.api import diff_against
     from repro.signatures import parse_signature
-    from repro.signatures.explain import explain_flow
 
     baseline = parse_signature(task.baseline_signature_text)
-    diff = diff_signatures(baseline, report.signature)
-    witnesses: list[str] = []
-    if report.pdg is not None:
-        for entry in diff.review_flows:
-            witness = explain_flow(report.pdg, report.detail, entry)
-            if witness is not None:
-                witnesses.append(witness.render())
+    diff, witnesses = diff_against(baseline, report)
     return (
         diff.verdict,
         [change.to_json() for change in diff.changes],
-        witnesses,
+        [witness.render() for witness in witnesses],
     )
 
 
@@ -523,13 +499,11 @@ def _execute_task(
         )
         certification: str | None = None
         if has_baseline and task.incremental:
-            gate = (
-                task.fast_lane_min_chars
-                if task.fast_lane_min_chars is not None
-                else FAST_LANE_MIN_SOURCE_CHARS
-            )
             front_end = select_front_end(task.baseline_source, task.source)
-            if len(task.source) >= gate and front_end.certificate_refusal is None:
+            if (
+                len(task.source) >= FAST_LANE_MIN_SOURCE_CHARS
+                and front_end.certificate_refusal is None
+            ):
                 certification = "attempted"
                 served = _fast_lane_outcome(
                     task,
@@ -1010,7 +984,6 @@ def vet_many(
     workers: int | None = None,
     use_cache: bool = True,
     cache_dir: str | os.PathLike | None = None,
-    cache_max_entries: int | None = None,
     timeout: float | None = None,
     prefilter: bool = True,
     baseline=None,
@@ -1045,10 +1018,9 @@ def vet_many(
     version chain; when ``baseline`` is omitted, the store also supplies
     the baselines, which is the long-running-service shape: every sweep
     diffs against the last and extends the chains.
-    ``cache_max_entries`` — LRU bound on the outcome cache (reads
-    refresh recency; overflowing writes evict the stalest entries);
-    ``None`` defers to ``$ADDON_SIG_CACHE_MAX_ENTRIES``, else
-    unbounded.
+    ``$ADDON_SIG_CACHE_MAX_ENTRIES`` — LRU bound on the outcome cache
+    (reads refresh recency; overflowing writes evict the stalest
+    entries); unset, zero or negative = unbounded.
 
     Returns one outcome per item, in input order. Failures are typed
     (:class:`repro.faults.FailureKind` in ``outcome.failure``) and
@@ -1060,7 +1032,7 @@ def vet_many(
     if baseline is None and store is not None:
         baseline = store
     tasks = _with_baselines(tasks, baseline)
-    cache = _open_cache(cache_dir, cache_max_entries)
+    cache = _open_cache(cache_dir)
 
     outcomes: dict[int, VetOutcome] = {}
     quarantined: set[int] = set()

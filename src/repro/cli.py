@@ -2,13 +2,13 @@
 
 Subcommands:
 
-- ``vet PATH`` — vet a single addon file *or* a WebExtension directory
+- ``vet PATH`` (alias ``analyze``) — infer and print the security
+  signature of a single addon file *or* a WebExtension directory
   (``manifest.json`` + background/content scripts): extension
   directories get the multi-file lowering, the ``chrome.*`` model, and
-  the cross-component message-flow analysis of :mod:`repro.webext`;
-- ``analyze FILE.js`` — infer and print the security signature of an
-  addon (optionally compare against a manual signature file and/or dump
-  the annotated PDG as Graphviz dot);
+  the cross-component message-flow analysis of :mod:`repro.webext`.
+  Optionally compare against a manual signature file, print witnesses
+  or a backward slice, and/or dump the annotated PDG as Graphviz dot;
 - ``table1`` / ``table2`` / ``figures`` — regenerate the paper's tables
   and figures on the benchmark corpus (``table2`` vets the corpus in
   parallel through the batch engine; ``--workers``/``--cache`` tune it);
@@ -72,9 +72,18 @@ def _load_source(path: str) -> str:
         raise SystemExit(f"addon-sig: refused: {error}") from error
 
 
+def _budget(arguments: argparse.Namespace):
+    """The cooperative budget of ``--timeout``/``--max-steps`` (the
+    default step bound unless ``--max-steps`` sets its own)."""
+    from repro.faults import Budget
+
+    if arguments.max_steps is None:
+        return Budget(max_seconds=arguments.timeout)
+    return Budget(max_steps=arguments.max_steps, max_seconds=arguments.timeout)
+
+
 def _cmd_vet(arguments: argparse.Namespace) -> int:
     from repro.api import vet
-    from repro.faults import Budget
     from repro.signatures import parse_signature
 
     source = _load_source(arguments.path)
@@ -84,61 +93,18 @@ def _cmd_vet(arguments: argparse.Namespace) -> int:
         with open(arguments.manual, encoding="utf-8") as handle:
             manual = parse_signature(handle.read())
 
-    budget = None
-    if arguments.timeout is not None or arguments.max_steps is not None:
-        budget = Budget(
-            max_steps=(
-                arguments.max_steps if arguments.max_steps is not None
-                else 400_000
-            ),
-            max_seconds=arguments.timeout,
-        )
     report = vet(
         source, manual=manual, spec=_resolve_spec(arguments.spec, source),
-        k=arguments.k, budget=budget, recover=arguments.recover,
+        k=arguments.k, budget=_budget(arguments), recover=arguments.recover,
         prefilter=arguments.prefilter,
     )
     print(report.render())
 
-    if arguments.explain:
-        if report.prefilter_decision is not None:
-            print()
-            print(report.prefilter_decision.render())
-        if report.pdg is not None:
-            from repro.signatures import explain_all
-
-            for witness in explain_all(report.pdg, report.detail):
-                print()
-                print(witness.render())
-    return 0
-
-
-def _cmd_analyze(arguments: argparse.Namespace) -> int:
-    from repro.api import vet
-    from repro.faults import Budget
-    from repro.signatures import parse_signature
-
-    source = _load_source(arguments.file)
-
-    manual = None
-    if arguments.manual:
-        with open(arguments.manual, encoding="utf-8") as handle:
-            manual = parse_signature(handle.read())
-
-    budget = None
-    if arguments.timeout is not None or arguments.max_steps is not None:
-        budget = Budget(
-            max_steps=(
-                arguments.max_steps if arguments.max_steps is not None
-                else 400_000
-            ),
-            max_seconds=arguments.timeout,
-        )
-    report = vet(
-        source, manual=manual, k=arguments.k,
-        budget=budget, recover=arguments.recover,
-    )
-    print(report.render())
+    if arguments.explain and report.prefilter_decision is not None:
+        print()
+        print(report.prefilter_decision.render())
+    if report.pdg is None:  # prefiltered: no PDG was built
+        return 0
 
     if arguments.explain:
         from repro.signatures import explain_all
@@ -165,23 +131,13 @@ def _cmd_diff(arguments: argparse.Namespace) -> int:
     import json
 
     from repro.api import diff_vet
-    from repro.faults import Budget
 
     old_source = _load_source(arguments.old)
     new_source = _load_source(arguments.new)
 
-    budget = None
-    if arguments.timeout is not None or arguments.max_steps is not None:
-        budget = Budget(
-            max_steps=(
-                arguments.max_steps if arguments.max_steps is not None
-                else 400_000
-            ),
-            max_seconds=arguments.timeout,
-        )
     report = diff_vet(
         old_source, new_source, k=arguments.k,
-        budget=budget, recover=arguments.recover,
+        budget=_budget(arguments), recover=arguments.recover,
     )
     if arguments.format == "json":
         payload = {
@@ -381,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vet = subparsers.add_parser(
         "vet",
+        aliases=["analyze"],
         help="vet an addon file or a WebExtension directory "
              "(manifest.json + component scripts)",
     )
@@ -390,8 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
              "manifest.json",
     )
     vet.add_argument(
-        "--manual", help="manual signature file to compare against"
+        "--manual",
+        help="manual signature file to compare against (pass/fail/leak)",
     )
+    vet.add_argument("--dot", help="write the annotated PDG as Graphviz dot")
     vet.add_argument(
         "--spec", choices=("auto", "mozilla", "webext"), default="auto",
         help="security spec (auto: webext for extension directories, "
@@ -402,6 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain", action="store_true",
         help="print a witness path for every inferred flow "
              "(cross-component steps carry their component tag)",
+    )
+    vet.add_argument(
+        "--slice", type=int, metavar="LINE",
+        help="print the backward slice of a source line",
     )
     vet.add_argument(
         "--recover", action="store_true",
@@ -422,39 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixpoint step budget (default 400000); blown budgets degrade",
     )
     vet.set_defaults(handler=_cmd_vet)
-
-    analyze = subparsers.add_parser("analyze", help="vet one addon source file")
-    analyze.add_argument(
-        "file", help="JavaScript addon source (or an extension directory)"
-    )
-    analyze.add_argument(
-        "--manual", help="manual signature file to compare against (pass/fail/leak)"
-    )
-    analyze.add_argument("--dot", help="write the annotated PDG as Graphviz dot")
-    analyze.add_argument("--k", type=int, default=1, help="context sensitivity")
-    analyze.add_argument(
-        "--explain", action="store_true",
-        help="print a witness path for every inferred flow",
-    )
-    analyze.add_argument(
-        "--slice", type=int, metavar="LINE",
-        help="print the backward slice of a source line",
-    )
-    analyze.add_argument(
-        "--recover", action="store_true",
-        help="skip unparseable top-level statements and vet the rest "
-             "(degraded, ⊤-widened signature)",
-    )
-    analyze.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="cooperative wall-clock budget; a blown budget degrades "
-             "to a sound signature instead of failing",
-    )
-    analyze.add_argument(
-        "--max-steps", type=int, default=None, metavar="N",
-        help="fixpoint step budget (default 400000); blown budgets degrade",
-    )
-    analyze.set_defaults(handler=_cmd_analyze)
 
     diff = subparsers.add_parser(
         "diff",

@@ -35,9 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.signatures.compare import classify_entry_change, entry_key
-from repro.signatures.flowtypes import DEFAULT_LATTICE, FlowTypeLattice
 from repro.signatures.signature import Entry, FlowEntry, Signature
-from repro.signatures.spec import SecuritySpec
 
 #: The closed set of change classes, in display order.
 CHANGE_KINDS = ("unchanged", "narrowed", "widened", "new-flow", "removed-flow")
@@ -136,25 +134,17 @@ class SignatureDiff:
         }
 
 
-def diff_signatures(
-    old: Signature,
-    new: Signature,
-    spec: SecuritySpec | None = None,
-    lattice: FlowTypeLattice = DEFAULT_LATTICE,
-) -> SignatureDiff:
+def diff_signatures(old: Signature, new: Signature) -> SignatureDiff:
     """Classify every entry change from ``old`` (the approved version's
-    signature) to ``new`` (the update's).
+    signature) to ``new`` (the update's), under the default flow-type
+    lattice.
 
-    ``spec`` is accepted for symmetry with the vetting entry points (a
-    spec can, in a future revision, carry its own flow-type lattice);
-    classification itself needs only ``lattice``. Prefix-domain network
-    entries are compared under the prefix order ``⊑`` via
-    :func:`repro.signatures.compare.entry_covers` — never under string
-    equality — so a domain generalized from ``stats.example.com`` to
-    ``stats...`` is a *widening* of the same entry, not a removal plus a
-    new flow.
+    Prefix-domain network entries are compared under the prefix order
+    ``⊑`` via :func:`repro.signatures.compare.entry_covers` — never
+    under string equality — so a domain generalized from
+    ``stats.example.com`` to ``stats...`` is a *widening* of the same
+    entry, not a removal plus a new flow.
     """
-    del spec  # reserved: specs do not (yet) carry their own lattice
     old_by_key: dict[tuple, set[Entry]] = {}
     for entry in old.entries:
         old_by_key.setdefault(entry_key(entry), set()).add(entry)
@@ -168,8 +158,8 @@ def diff_signatures(
         if not previous:
             changes.append(EntryChange(kind="new-flow", new=entry))
             continue
-        kind = classify_entry_change(previous, entry, lattice)
-        counterpart = _closest(previous, entry, lattice)
+        kind = classify_entry_change(previous, entry)
+        counterpart = _closest(previous, entry)
         changes.append(EntryChange(kind=kind, old=counterpart, new=entry))
 
     for key, previous in sorted(old_by_key.items()):
@@ -180,9 +170,7 @@ def diff_signatures(
     return SignatureDiff(changes=changes)
 
 
-def _closest(
-    candidates: set[Entry], entry: Entry, lattice: FlowTypeLattice
-) -> Entry:
+def _closest(candidates: set[Entry], entry: Entry) -> Entry:
     """The old-version entry to display against ``entry``: itself when
     unchanged, else a covering entry when one exists, else any same-key
     entry (deterministically the first in render order)."""
@@ -192,6 +180,6 @@ def _closest(
         return entry
     ordered = sorted(candidates, key=lambda e: e.render())
     for candidate in ordered:
-        if entry_covers(candidate, entry, lattice):
+        if entry_covers(candidate, entry):
             return candidate
     return ordered[0]

@@ -17,9 +17,7 @@ _EXPORTS = {
     "compute_diff_rows": "repro.evaluation.table2",
     "render_diff_table": "repro.evaluation.table2",
     "DiffRow": "repro.evaluation.table2",
-    "time_phases": "repro.evaluation.timing",
-    "time_phases_once": "repro.evaluation.timing",
-    "PhaseTimes": "repro.evaluation.timing",
+    "PhaseTimes": "repro.perf",
     "FIGURE1_PROGRAM": "repro.evaluation.figures",
     "FIGURE2_EXPECTED": "repro.evaluation.figures",
     "check_figure2": "repro.evaluation.figures",

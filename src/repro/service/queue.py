@@ -47,6 +47,10 @@ from repro.store import Journal, JsonStore
 #: first try plus two retries.
 DEFAULT_MAX_ATTEMPTS = 3
 
+#: Journal shards (``journal/shard-NN.log``); a job's shard is the CRC32
+#: of its id modulo this, so every state directory depends on it.
+JOURNAL_SHARDS = 4
+
 
 class DurableJobQueue:
     """A crash-safe work queue for vetting jobs.
@@ -62,12 +66,10 @@ class DurableJobQueue:
         self,
         directory: str | os.PathLike,
         *,
-        shards: int = 4,
         max_attempts: int | None = None,
         fsync: bool = True,
     ) -> None:
         self.directory = Path(directory)
-        self.shards = max(1, shards)
         self.max_attempts = (
             max_attempts if max_attempts is not None else DEFAULT_MAX_ATTEMPTS
         )
@@ -76,13 +78,10 @@ class DurableJobQueue:
                 self.directory / "journal" / f"shard-{index:02d}.log",
                 fsync=fsync,
             )
-            for index in range(self.shards)
+            for index in range(JOURNAL_SHARDS)
         ]
         self.results = JsonStore(
-            self.directory / "results",
-            shards=16,
-            fsync=fsync,
-            touch_on_get=False,
+            self.directory / "results", shards=16, fsync=fsync
         )
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
@@ -93,7 +92,7 @@ class DurableJobQueue:
     # -- journal plumbing ----------------------------------------------
 
     def _shard(self, job_id: str) -> int:
-        return zlib.crc32(job_id.encode("utf-8")) % self.shards
+        return zlib.crc32(job_id.encode("utf-8")) % JOURNAL_SHARDS
 
     def _journal_for(self, job_id: str) -> Journal:
         return self._journals[self._shard(job_id)]

@@ -122,7 +122,6 @@ class VettingService:
         directory: str | os.PathLike,
         *,
         workers: int = 2,
-        spec=None,
         timeout: float | None = None,
         max_attempts: int | None = None,
         fsync: bool = True,
@@ -134,9 +133,10 @@ class VettingService:
         )
         self.pool = SupervisedPool(workers)
         # A window of one job per worker: no job is claimed, and its
-        # attempt journaled, before a worker can take it.
+        # attempt journaled, before a worker can take it. Each job is
+        # vetted under its front end's default spec.
         self.dispatch = Dispatch(
-            self.pool, spec, timeout, self.pool.workers, notify=self._notify
+            self.pool, None, timeout, self.pool.workers, notify=self._notify
         )
         self.versions = VersionStore(self.directory, max_chains=max_chains)
         self._running = False

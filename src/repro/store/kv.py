@@ -35,7 +35,7 @@ class JsonStore:
 
     ``max_entries`` bounds the store: a put that would overflow evicts
     the least-recently-used entries (by mtime; gets touch it) down to
-    the bound. ``None`` = unbounded.
+    the bound. ``None`` = unbounded, and gets leave mtimes alone.
 
     ``fsync`` trades durability for speed: caches run without it (a
     crash may lose recent entries but can never tear one), stores of
@@ -49,7 +49,6 @@ class JsonStore:
         shards: int = 1,
         max_entries: int | None = None,
         fsync: bool = False,
-        touch_on_get: bool = True,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive or None")
@@ -57,7 +56,6 @@ class JsonStore:
         self.shards = max(1, shards)
         self.max_entries = max_entries
         self.fsync = fsync
-        self.touch_on_get = touch_on_get
         #: Lazily-initialized entry count (maintained across puts and
         #: evictions once a scan has established it).
         self._count: int | None = None
@@ -106,7 +104,7 @@ class JsonStore:
             except OSError:
                 pass  # a read-only store cannot quarantine; still a miss
             return None, True
-        if self.touch_on_get:
+        if self.max_entries is not None:
             try:
                 os.utime(path)  # refresh LRU recency
             except OSError:

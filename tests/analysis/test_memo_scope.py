@@ -20,6 +20,7 @@ from repro.browser import BrowserEnvironment
 from repro.domains import pmap
 from repro.domains.pmap import PMap
 from repro.evaluation.scaling import synthesize_chain
+from repro.faults import Budget
 from repro.ir import lower
 from repro.js import parse
 
@@ -57,13 +58,13 @@ def test_memo_empty_after_analysis_returns(memo_at_exit):
 
 def test_memo_empty_after_budget_exceeded(memo_at_exit):
     with pytest.raises(AnalysisBudgetExceeded):
-        _analyze(max_steps=200)
+        _analyze(budget=Budget(max_steps=200))
     assert memo_at_exit[0] > 0
     assert _memo_entries() == 0
 
 
 def test_memo_empty_after_salvaged_trip(memo_at_exit):
-    result = _analyze(max_steps=200, salvage=True)
+    result = _analyze(budget=Budget(max_steps=200), salvage=True)
     assert result.degradations
     assert memo_at_exit[0] > 0
     assert _memo_entries() == 0

@@ -7,11 +7,11 @@ with clean outcomes only, and fast-lane outcomes cache and replay like
 any other outcome.
 """
 
-import dataclasses
 from pathlib import Path
 
 import pytest
 
+from repro import batch
 from repro.batch import VetTask, summarize, vet_many
 from repro.diffvet import VersionStore, discover_pairs
 
@@ -77,7 +77,9 @@ class TestFastLaneIdentity:
         assert by_name["big_dashboard"].ast_nodes > 0
         assert by_name["big_dashboard"].timing_samples == 1
 
-    def test_cost_gate_skips_certification_on_small_updates(self, baselines):
+    def test_cost_gate_skips_certification_on_small_updates(
+        self, baselines, monkeypatch
+    ):
         # ui_theme's certificate would hold, but the addon is far below
         # the cost gate: parsing it twice to certify costs more than
         # simply re-analyzing it, so the engine skips certification and
@@ -93,12 +95,9 @@ class TestFastLaneIdentity:
             "certification_attempted"
         ) == 1
         # Gate off: the certificate fires even on the tiny update.
+        monkeypatch.setattr(batch, "FAST_LANE_MIN_SOURCE_CHARS", 0)
         ungated = vet_many(
-            [
-                dataclasses.replace(task, fast_lane_min_chars=0)
-                for task in _update_tasks(baselines, True)
-            ],
-            use_cache=False, workers=1,
+            _update_tasks(baselines, True), use_cache=False, workers=1
         )
         assert {o.name: o for o in ungated}["ui_theme"].incremental
 
@@ -112,6 +111,7 @@ class TestFastLaneIdentity:
             raise AssertionError("a bundle update reached the certificate")
 
         monkeypatch.setattr(incremental, "certify_unchanged", certify)
+        monkeypatch.setattr(batch, "FAST_LANE_MIN_SOURCE_CHARS", 0)
         extensions = REPO / "examples" / "extensions"
         old = load_source(extensions / "cookie_exfil_guarded")
         [baseline] = vet_many([VetTask(name="x", source=old)], use_cache=False, workers=1)
@@ -122,7 +122,6 @@ class TestFastLaneIdentity:
                     source=load_source(extensions / "cookie_exfil"),
                     baseline_source=old,
                     baseline_signature_text=baseline.signature_text,
-                    fast_lane_min_chars=0,
                 )
             ],
             use_cache=False, workers=1,
@@ -180,13 +179,14 @@ class TestFastLaneIdentity:
 
 
 class TestBaselineResolution:
-    def test_mapping_baseline_resolves_by_name(self, tmp_path):
+    def test_mapping_baseline_resolves_by_name(self, tmp_path, monkeypatch):
         old = "var quiet = 1;"
         new = "// churn\nvar quiet = 1;"
+        # Gate off: the fixture is tiny by design; the test exercises
+        # baseline resolution, not the cost gate.
+        monkeypatch.setattr(batch, "FAST_LANE_MIN_SOURCE_CHARS", 0)
         [outcome] = vet_many(
-            # fast_lane_min_chars=0: the fixture is tiny by design; the
-            # test exercises baseline resolution, not the cost gate.
-            [VetTask(name="addon", source=new, fast_lane_min_chars=0)],
+            [VetTask(name="addon", source=new)],
             baseline={"addon": (old, "")},
             use_cache=False, workers=1,
         )
@@ -203,18 +203,21 @@ class TestBaselineResolution:
         assert not outcome.incremental
         assert outcome.diff_verdict is None
 
-    def test_store_supplies_baselines_and_advances_chains(self, tmp_path):
+    def test_store_supplies_baselines_and_advances_chains(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(batch, "FAST_LANE_MIN_SOURCE_CHARS", 0)
         store = VersionStore(tmp_path)
         old = "var quiet = 1;"
         new = "var quiet = 1;\nvar island_probe = { probe_key: 2 };"
         [first] = vet_many(
-            [VetTask(name="addon", source=old, fast_lane_min_chars=0)],
+            [VetTask(name="addon", source=old)],
             store=store, use_cache=False, workers=1,
         )
         assert not first.incremental  # no baseline yet
         assert len(store.chain("addon")) == 1
         [second] = vet_many(
-            [VetTask(name="addon", source=new, fast_lane_min_chars=0)],
+            [VetTask(name="addon", source=new)],
             store=store, use_cache=False, workers=1,
         )
         assert second.incremental
@@ -242,12 +245,12 @@ class TestBaselineResolution:
 
 
 class TestCaching:
-    def test_fast_lane_outcome_caches_and_replays(self, tmp_path):
+    def test_fast_lane_outcome_caches_and_replays(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(batch, "FAST_LANE_MIN_SOURCE_CHARS", 0)
         old = "var quiet = 1;"
         task = VetTask(
             name="addon", source="// churn\n" + old,
             baseline_source=old, baseline_signature_text="",
-            fast_lane_min_chars=0,
         )
         [first] = vet_many([task], cache_dir=tmp_path, workers=1)
         assert first.incremental and not first.cached

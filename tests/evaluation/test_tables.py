@@ -12,7 +12,6 @@ from repro.evaluation import (
     render_figure4,
     render_table1,
     render_table2,
-    time_phases,
 )
 from repro.evaluation.tables import format_count, render_table
 
@@ -68,16 +67,6 @@ class TestTable2:
 
     def test_render_mentions_match_count(self, rows):
         assert "10/10" in render_table2(rows)
-
-
-class TestTimingProtocol:
-    def test_median_protocol_runs(self):
-        times = time_phases("var x = 1;", runs=3)
-        assert times.p1 > 0 and times.total > 0
-
-    def test_single_run_allowed(self):
-        times = time_phases("var x = 1;", runs=1)
-        assert times.total > 0
 
 
 class TestFigures:

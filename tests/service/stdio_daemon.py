@@ -43,7 +43,8 @@ class StdioDaemon:
             )
         self._replies: queue.Queue[bytes] = queue.Queue()
         self._requests = 0
-        threading.Thread(target=self._pump, daemon=True).start()
+        self._pump_thread = threading.Thread(target=self._pump, daemon=True)
+        self._pump_thread.start()
 
     def _pump(self) -> None:
         for line in self.process.stdout:
@@ -76,6 +77,8 @@ class StdioDaemon:
             time.sleep(0.05)
 
     def close(self) -> None:
+        """Shut the daemon down (killing it if it will not go) and close
+        both pipes, also when it had already exited."""
         if self.process.poll() is None:
             try:
                 self.call("shutdown")
@@ -85,6 +88,14 @@ class StdioDaemon:
                     subprocess.TimeoutExpired):
                 self.process.kill()
         self.process.wait()
+        # The pump reads stdout until EOF, which the exit has sent; close
+        # the pipe only once the pump no longer reads it.
+        self._pump_thread.join(timeout=30)
+        for pipe in (self.process.stdin, self.process.stdout):
+            try:
+                pipe.close()
+            except OSError:  # a broken stdin cannot flush: still closed
+                pass
 
     def __enter__(self) -> StdioDaemon:
         return self

@@ -78,6 +78,15 @@ def test_lru_get_refreshes_recency(tmp_path):
     assert store.get("k1") is None, "least-recently-used entry evicted"
 
 
+def test_unbounded_get_leaves_recency_alone(tmp_path):
+    store = JsonStore(tmp_path, shards=1)
+    store.put("k", {"n": 0})
+    _age_entries(tmp_path)
+    aged = (tmp_path / "k.json").stat().st_mtime
+    assert store.get("k") == {"n": 0}
+    assert (tmp_path / "k.json").stat().st_mtime == aged
+
+
 def test_overwrite_does_not_evict(tmp_path):
     store = JsonStore(tmp_path, shards=1, max_entries=2)
     store.put("a", {"v": 1})

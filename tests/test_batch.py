@@ -196,7 +196,7 @@ class TestTransientCounters:
             name="a", ok=True,
             counters={"steps": 3, "cache_quarantined": 2, "pool_retries": 1},
         )
-        batch._cache_store(batch._open_cache(tmp_path, None), "key", outcome)
+        batch._cache_store(batch._open_cache(tmp_path), "key", outcome)
         stored = json.loads((tmp_path / "key.json").read_text(encoding="utf-8"))
         assert stored["counters"] == {"steps": 3}
         # Stripping operates on a projection, never the live outcome.

@@ -76,7 +76,7 @@ class TestBudgetSalvage:
     def test_salvage_off_still_raises_with_kind(self):
         program = lower(parse(LEAKY), event_loop=True)
         with pytest.raises(AnalysisBudgetExceeded) as raised:
-            analyze(program, max_steps=2)
+            analyze(program, budget=Budget(max_steps=2))
         assert raised.value.kind is FailureKind.BUDGET_STEPS
 
     def test_salvaged_result_is_all_weak_downstream(self):

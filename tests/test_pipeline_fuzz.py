@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis import analyze
+from repro.faults import Budget
 from repro.ir import lower
 from repro.ir.nodes import EdgeKind, ExitStmt
 from repro.js import parse
@@ -68,7 +69,7 @@ class TestPipelineFuzz:
     def test_full_pipeline_never_crashes(self, program):
         printed = print_program(program)
         ir = lower(parse(printed), event_loop=False)
-        result = analyze(ir, max_steps=120_000)
+        result = analyze(ir, budget=Budget(max_steps=120_000))
         pdg = build_pdg(result)
         detail = infer_signature(result, pdg, mozilla_spec())
         assert detail.signature is not None
@@ -78,7 +79,7 @@ class TestPipelineFuzz:
     def test_pdg_edges_reference_known_statements(self, program):
         printed = print_program(program)
         ir = lower(parse(printed), event_loop=False)
-        result = analyze(ir, max_steps=120_000)
+        result = analyze(ir, budget=Budget(max_steps=120_000))
         pdg = build_pdg(result)
         for (source, target) in pdg.edges:
             assert source in ir.stmts and target in ir.stmts
