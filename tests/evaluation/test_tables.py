@@ -13,6 +13,7 @@ from repro.evaluation import (
     render_table1,
     render_table2,
 )
+from repro.batch import VetTask, vet_many
 from repro.evaluation.tables import format_count, render_table
 
 
@@ -67,6 +68,30 @@ class TestTable2:
 
     def test_render_mentions_match_count(self, rows):
         assert "10/10" in render_table2(rows)
+
+
+class TestTimingProtocol:
+    """Section 6.2: run each addon ``runs`` times, discard the first
+    (warm-up) run, report the per-phase median of the rest."""
+
+    @staticmethod
+    def _time(runs):
+        [outcome] = vet_many(
+            [VetTask(name="tiny", source="var x = 1;", runs=runs)],
+            workers=1, use_cache=False,
+        )
+        assert outcome.ok
+        return outcome
+
+    def test_median_protocol_runs(self):
+        outcome = self._time(runs=3)
+        assert outcome.times["p1"] > 0 and outcome.total_time > 0
+        assert outcome.timing_samples == 2
+
+    def test_single_run_allowed(self):
+        outcome = self._time(runs=1)
+        assert outcome.total_time > 0
+        assert outcome.timing_samples == 1
 
 
 class TestFigures:
