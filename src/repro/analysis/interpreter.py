@@ -250,6 +250,11 @@ def _eval_atom(atom: Atom, state: State) -> AbstractValue:
     return state.read_var(atom)
 
 
+def _targets(stmt: Stmt, kind: EdgeKind) -> tuple[int, ...]:
+    """The targets of ``stmt``'s edges of one kind, in edge order."""
+    return tuple(edge.target for edge in stmt.edges if edge.kind is kind)
+
+
 def _has_normal_continuation(base: AbstractValue) -> bool:
     """A property access continues normally unless the base can only be
     undefined or null."""
@@ -315,6 +320,11 @@ class Interpreter:
         #: Compiled transfer closures, one per statement id, filled
         #: lazily by :meth:`_process` on first visit.
         self._compiled: dict[int, object] = {}
+        #: The atom readers, variable writers and bound methods those
+        #: closures share (see :meth:`_compile`).
+        self._readers: dict = {}
+        self._writers: dict = {}
+        self._methods: dict[str, object] = {}
         self.counters = Counters()
 
     # ------------------------------------------------------------------
@@ -444,6 +454,7 @@ class Interpreter:
             # dropping them breaks that reference cycle, so reference
             # counting frees the run's working set (no cyclic garbage).
             self._compiled.clear()
+            self._methods.clear()
 
     def _salvage(self, kind: FailureKind, detail: str) -> None:
         """Finish a budget-tripped run in a usable, flagged form.
@@ -520,19 +531,32 @@ class Interpreter:
         """Build the transfer closure for one statement. The closures
         mirror the former ``_do_*`` methods exactly — same evaluation
         order, same copy discipline (statements that mutate state work
-        on a private copy; read-only ones use the stored state as-is)."""
+        on a private copy; read-only ones use the stored state as-is).
+
+        A big program compiles thousands of these, and they live for the
+        whole fixpoint, so they are kept small: each closure binds what
+        it uses as default arguments (one tuple, where captured names
+        would cost a cell each), flow targets are walked inline instead
+        of through a flow closure, and atom readers and variable writers
+        are shared by every statement that reads the same atom or writes
+        the same variable under the same strength rule."""
         stype = type(stmt)
-        propagate = self._propagate
+        propagate = self._method("_propagate")
 
         if stype is AssignStmt:
             eval_rhs = self._compile_rhs(stmt.rhs)
             write = self._compile_var_write(stmt.target, stmt.sid)
-            flow = self._compile_flow(stmt, EdgeKind.SEQ)
+            targets = _targets(stmt, EdgeKind.SEQ)
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _eval_rhs=eval_rhs, _write=write, _targets=targets,
+                _propagate=propagate,
+            ) -> None:
                 state = state.copy()
-                write(state, eval_rhs(state))
-                flow(context, state)
+                _write(state, _eval_rhs(state))
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
@@ -540,30 +564,35 @@ class Interpreter:
             read_obj = self._compile_atom(stmt.obj)
             read_prop = self._compile_atom(stmt.prop)
             write = self._compile_var_write(stmt.target, stmt.sid)
-            flow = self._compile_flow(stmt, EdgeKind.SEQ)
+            targets = _targets(stmt, EdgeKind.SEQ)
             throw = self._compile_implicit_throw(stmt)
-            method_lookup = self._object_method_lookup
-            primitive_member = self._primitive_member
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _read_obj=read_obj, _read_prop=read_prop, _write=write,
+                _targets=targets, _throw=throw, _propagate=propagate,
+                _method_lookup=self._method("_object_method_lookup"),
+                _primitive_member=self._method("_primitive_member"),
+            ) -> None:
                 state = state.copy()
-                obj = read_obj(state)
+                obj = _read_obj(state)
                 if obj.may_throw_on_property_access():
-                    throw(context, state)
-                name = read_prop(state).to_property_name()
+                    _throw(context, state)
+                name = _read_prop(state).to_property_name()
                 value = values_domain.BOTTOM
                 if obj.addresses:
                     value = value.join(state.heap.read(obj.addresses, name))
-                    value = value.join(method_lookup(state, obj, name))
-                value = value.join(primitive_member(obj, name))
+                    value = value.join(_method_lookup(state, obj, name))
+                value = value.join(_primitive_member(obj, name))
                 if not _has_normal_continuation(obj):
                     # Base can only be undefined/null. In real JS this
                     # throws; in practice it usually means an unmodeled
                     # host API, so we keep the analysis going with an
                     # unknown result (the implicit throw is recorded).
                     value = value.join(builtins.unknown_value())
-                write(state, value)
-                flow(context, state)
+                _write(state, value)
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
@@ -571,39 +600,50 @@ class Interpreter:
             read_obj = self._compile_atom(stmt.obj)
             read_prop = self._compile_atom(stmt.prop)
             read_value = self._compile_atom(stmt.value)
-            flow = self._compile_flow(stmt, EdgeKind.SEQ)
+            targets = _targets(stmt, EdgeKind.SEQ)
             throw = self._compile_implicit_throw(stmt)
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _read_obj=read_obj, _read_prop=read_prop,
+                _read_value=read_value, _targets=targets, _throw=throw,
+                _propagate=propagate,
+            ) -> None:
                 state = state.copy()
-                obj = read_obj(state)
+                obj = _read_obj(state)
                 if obj.may_throw_on_property_access():
-                    throw(context, state)
-                name = read_prop(state).to_property_name()
-                value = read_value(state)
+                    _throw(context, state)
+                name = _read_prop(state).to_property_name()
+                value = _read_value(state)
                 if obj.addresses:
                     state.heap.write(obj.addresses, name, value)
                 # Continue even when the base can only be undefined/null:
                 # usually an unmodeled host API (the throw is recorded).
-                flow(context, state)
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
         if stype is DeletePropStmt:
             read_obj = self._compile_atom(stmt.obj)
             read_prop = self._compile_atom(stmt.prop)
-            flow = self._compile_flow(stmt, EdgeKind.SEQ)
+            targets = _targets(stmt, EdgeKind.SEQ)
             throw = self._compile_implicit_throw(stmt)
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _read_obj=read_obj, _read_prop=read_prop, _targets=targets,
+                _throw=throw, _propagate=propagate,
+            ) -> None:
                 state = state.copy()
-                obj = read_obj(state)
+                obj = _read_obj(state)
                 if obj.may_throw_on_property_access():
-                    throw(context, state)
-                name = read_prop(state).to_property_name()
+                    _throw(context, state)
+                name = _read_prop(state).to_property_name()
                 if obj.addresses:
                     state.heap.delete(obj.addresses, name)
-                flow(context, state)
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
@@ -612,45 +652,51 @@ class Interpreter:
                 obj = interned_object(AbstractObject(kind=stmt.kind))
             else:
                 obj = function_object(stmt.function_id)
-            address = stmt.sid
-            addr_value = values_domain.from_addresses(address)
             write = self._compile_var_write(stmt.target, stmt.sid)
-            flow = self._compile_flow(stmt, EdgeKind.SEQ)
+            targets = _targets(stmt, EdgeKind.SEQ)
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _address=stmt.sid, _obj=obj,
+                _addr_value=values_domain.from_addresses(stmt.sid),
+                _write=write, _targets=targets, _propagate=propagate,
+            ) -> None:
                 state = state.copy()
-                state.heap.allocate(address, obj)
-                write(state, addr_value)
-                flow(context, state)
+                state.heap.allocate(_address, _obj)
+                _write(state, _addr_value)
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
         if stype is BranchStmt:
             read_cond = self._compile_atom(stmt.condition)
-            targets = tuple(
-                e.target for e in stmt.edges if e.kind is EdgeKind.SEQ
-            )
+            targets = _targets(stmt, EdgeKind.SEQ)
             if len(targets) == 1:
-                only = targets[0]
 
-                def run(context: Context, state: State) -> None:
-                    condition = read_cond(state)
+                def run(
+                    context: Context, state: State,
+                    _read_cond=read_cond, _only=targets[0],
+                    _propagate=propagate,
+                ) -> None:
+                    condition = _read_cond(state)
                     if condition.may_be_truthy() or condition.may_be_falsy():
-                        propagate(only, context, state)
+                        _propagate(_only, context, state)
 
                 return run
 
-            first, second = targets[0], targets[1]
-            truthy_first = stmt.truthy_first
-
-            def run(context: Context, state: State) -> None:
-                condition = read_cond(state)
+            def run(
+                context: Context, state: State,
+                _read_cond=read_cond, _first=targets[0], _second=targets[1],
+                _truthy_first=stmt.truthy_first, _propagate=propagate,
+            ) -> None:
+                condition = _read_cond(state)
                 may_true = condition.may_be_truthy()
                 may_false = condition.may_be_falsy()
-                if may_true if truthy_first else may_false:
-                    propagate(first, context, state)
-                if may_false if truthy_first else may_true:
-                    propagate(second, context, state)
+                if may_true if _truthy_first else may_false:
+                    _propagate(_first, context, state)
+                if may_false if _truthy_first else may_true:
+                    _propagate(_second, context, state)
 
             return run
 
@@ -660,22 +706,26 @@ class Interpreter:
                 self._compile_atom(stmt.value) if stmt.value is not None else None
             )
             write = self._compile_var_write(Var(RETURN_SLOT, fid), stmt.sid)
-            flow = self._compile_flow(stmt, EdgeKind.JUMP)
+            targets = _targets(stmt, EdgeKind.JUMP)
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _read_value=read_value, _write=write, _targets=targets,
+                _propagate=propagate,
+            ) -> None:
                 state = state.copy()
                 value = (
-                    read_value(state) if read_value is not None
+                    _read_value(state) if _read_value is not None
                     else values_domain.UNDEF
                 )
-                write(state, value)
-                flow(context, state)
+                _write(state, value)
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
         if stype is ThrowStmt:
             fid = self.program.owner[stmt.sid]
-            read_value = self._compile_atom(stmt.value)
             handlers = tuple(
                 (e.target, self._compile_var_write(
                     Var(exception_slot(e.target), fid), stmt.sid
@@ -684,64 +734,82 @@ class Interpreter:
                 if e.kind is EdgeKind.JUMP
             )
 
-            def run(context: Context, state: State) -> None:
-                value = read_value(state)
-                for target, write in handlers:  # empty => uncaught
+            def run(
+                context: Context, state: State,
+                _read_value=self._compile_atom(stmt.value),
+                _handlers=handlers, _propagate=propagate,
+            ) -> None:
+                value = _read_value(state)
+                for target, write in _handlers:  # empty => uncaught
                     out = state.copy()
                     write(out, value)
-                    propagate(target, context, out)
+                    _propagate(target, context, out)
 
             return run
 
         if stype is CatchStmt:
             fid = self.program.owner[stmt.sid]
-            exc_var = Var(exception_slot(stmt.sid), fid)
             write = self._compile_var_write(stmt.target, stmt.sid)
-            flow = self._compile_flow(stmt, EdgeKind.SEQ)
+            targets = _targets(stmt, EdgeKind.SEQ)
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _exc_var=Var(exception_slot(stmt.sid), fid), _write=write,
+                _targets=targets, _propagate=propagate,
+            ) -> None:
                 state = state.copy()
-                value = state.read_var(exc_var)
+                value = state.read_var(_exc_var)
                 if value.is_bottom or value.may_undef:
                     value = value.join(builtins.ERROR_VALUE)
-                write(state, value)
-                flow(context, state)
+                _write(state, value)
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
         if stype is ForInNextStmt:
             write = self._compile_var_write(stmt.target, stmt.sid)
-            flow = self._compile_flow(stmt, EdgeKind.SEQ)
+            targets = _targets(stmt, EdgeKind.SEQ)
 
-            def run(context: Context, state: State) -> None:
+            def run(
+                context: Context, state: State,
+                _write=write, _targets=targets, _propagate=propagate,
+            ) -> None:
                 # The loop variable is some enumerable property name.
                 state = state.copy()
-                write(state, values_domain.ANY_STRING)
-                flow(context, state)
+                _write(state, values_domain.ANY_STRING)
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
         if stype is CallStmt or stype is ConstructStmt:
-            do_call = self._do_call
 
-            def run(context: Context, state: State, _stmt=stmt) -> None:
-                do_call(_stmt, context, state)
+            def run(
+                context: Context, state: State,
+                _stmt=stmt, _do_call=self._method("_do_call"),
+            ) -> None:
+                _do_call(_stmt, context, state)
 
             return run
 
         if stype is EventLoopStmt:
-            do_event_loop = self._do_event_loop
 
-            def run(context: Context, state: State, _stmt=stmt) -> None:
-                do_event_loop(_stmt, context, state)
+            def run(
+                context: Context, state: State,
+                _stmt=stmt, _do_event_loop=self._method("_do_event_loop"),
+            ) -> None:
+                _do_event_loop(_stmt, context, state)
 
             return run
 
         if stype is ExitStmt:
-            do_exit = self._do_exit
 
-            def run(context: Context, state: State, _stmt=stmt) -> None:
-                do_exit(_stmt, context, state)
+            def run(
+                context: Context, state: State,
+                _stmt=stmt, _do_exit=self._method("_do_exit"),
+            ) -> None:
+                _do_exit(_stmt, context, state)
 
             return run
 
@@ -754,86 +822,122 @@ class Interpreter:
                 if e.kind in (EdgeKind.SEQ, EdgeKind.JUMP)
             )
 
-            def run(context: Context, state: State) -> None:
-                for target in targets:
-                    propagate(target, context, state)
+            def run(
+                context: Context, state: State,
+                _targets=targets, _propagate=propagate,
+            ) -> None:
+                for target in _targets:
+                    _propagate(target, context, state)
 
             return run
 
         raise TypeError(f"unhandled statement {stmt!r}")  # pragma: no cover
 
+    def _method(self, name: str):
+        """The bound method ``name`` of this interpreter, one object
+        shared by every compiled closure that calls it."""
+        method = self._methods.get(name)
+        if method is None:
+            method = self._methods[name] = getattr(self, name)
+        return method
+
     def _compile_atom(self, atom: Atom):
-        """An evaluator closure for one atom: constants resolve to their
-        abstract value now; variables to a prebuilt environment key."""
+        """The evaluator closure for one atom, shared by every statement
+        that reads it: constants resolve to their abstract value now;
+        variables to a prebuilt environment key."""
         if isinstance(atom, Const):
             value = values_domain.from_constant(atom.value)
-            return lambda state, _value=value: _value
+            # Keyed by identity: the reader must hand out this very
+            # object, and it keeps the object (so its id) alive.
+            read = self._readers.get(id(value))
+            if read is None:
+
+                def read(state: State, _value=value):
+                    return _value
+
+                self._readers[id(value)] = read
+            return read
         assert isinstance(atom, Var)
-        key = (atom.scope, atom.name)
+        read = self._readers.get(atom)
+        if read is None:
 
-        def read(state: State, _key=key):
-            value = state.vars.get(_key)
-            # Never assigned: undefined (hoisted local / missing global).
-            return values_domain.UNDEF if value is None else value
+            def read(state: State, _key=(atom.scope, atom.name)):
+                value = state.vars.get(_key)
+                # Never assigned: undefined (hoisted local / missing global).
+                return values_domain.UNDEF if value is None else value
 
+            self._readers[atom] = read
         return read
 
     def _compile_rhs(self, rhs: Rhs):
         if isinstance(rhs, AtomRhs):
             return self._compile_atom(rhs.atom)
         if isinstance(rhs, BinOpRhs):
-            left = self._compile_atom(rhs.left)
-            right = self._compile_atom(rhs.right)
-            operator = rhs.operator
-            binary_op = transfer.binary_op
-            return lambda state: binary_op(operator, left(state), right(state))
+
+            def binary(
+                state: State, _operator=rhs.operator,
+                _left=self._compile_atom(rhs.left),
+                _right=self._compile_atom(rhs.right),
+                _binary_op=transfer.binary_op,
+            ):
+                return _binary_op(_operator, _left(state), _right(state))
+
+            return binary
         assert isinstance(rhs, UnOpRhs)
-        operand = self._compile_atom(rhs.operand)
-        operator = rhs.operator
-        unary_op = transfer.unary_op
-        return lambda state: unary_op(operator, operand(state))
+
+        def unary(
+            state: State, _operator=rhs.operator,
+            _operand=self._compile_atom(rhs.operand),
+            _unary_op=transfer.unary_op,
+        ):
+            return _unary_op(_operator, _operand(state))
+
+        return unary
 
     def _compile_var_write(self, var: Var, sid: int):
-        """A writer closure with the static part of the strong/weak
-        decision resolved now (see :meth:`_strong_var`); only the
-        multi-instance test — which evolves as the call graph is
-        discovered — stays a runtime check."""
+        """The writer closure for ``var`` with the static part of the
+        strong/weak decision resolved now (see :meth:`_strong_var`); only
+        the multi-instance test — which evolves as the call graph is
+        discovered — stays a runtime check. Shared by every statement
+        that writes ``var`` under the same rule."""
         if var.scope == -1:  # GLOBAL_SCOPE: always strong
-            return lambda state, value, _var=var: state.write_var(_var, value, True)
-        if var.scope != self.program.owner[sid]:
+            rule = True
+        elif var.scope != self.program.owner[sid]:
             # Captured outer local: other frames may be live — weak.
-            return lambda state, value, _var=var: state.write_var(_var, value, False)
-        multi_instance = self._multi_instance  # live set, mutated in place
+            rule = False
+        else:
+            rule = None
+        key = (var, rule)
+        write = self._writers.get(key)
+        if write is not None:
+            return write
+        if rule is None:
 
-        def write(state: State, value, _var=var, _scope=var.scope):
-            state.write_var(_var, value, _scope not in multi_instance)
+            def write(
+                state: State, value, _var=var, _scope=var.scope,
+                _multi_instance=self._multi_instance,  # live set, mutated in place
+            ):
+                state.write_var(_var, value, _scope not in _multi_instance)
 
+        else:
+
+            def write(state: State, value, _var=var, _strong=rule):
+                state.write_var(_var, value, _strong)
+
+        self._writers[key] = write
         return write
-
-    def _compile_flow(self, stmt: Stmt, kind: EdgeKind):
-        targets = tuple(e.target for e in stmt.edges if e.kind is kind)
-        propagate = self._propagate
-        if len(targets) == 1:
-            only = targets[0]
-            return lambda context, state: propagate(only, context, state)
-
-        def flow(context: Context, state: State) -> None:
-            for target in targets:
-                propagate(target, context, state)
-
-        return flow
 
     def _compile_implicit_throw(self, stmt: Stmt):
         """The compiled form of :meth:`_record_implicit_throw`: handler
         targets and their exception-slot writers are resolved once."""
         sid = stmt.sid
-        throwing = self.throwing
-        targets = tuple(
-            e.target for e in stmt.edges if e.kind is EdgeKind.IMPLICIT
-        )
+        targets = _targets(stmt, EdgeKind.IMPLICIT)
         if not targets:
-            def record(context: Context, state: State) -> None:
-                throwing.add(sid)  # uncaught: termination, out of scope
+            def record(
+                context: Context, state: State,
+                _sid=sid, _throwing=self.throwing,
+            ) -> None:
+                _throwing.add(_sid)  # uncaught: termination, out of scope
 
             return record
         fid = self.program.owner[sid]
@@ -843,15 +947,18 @@ class Interpreter:
             ))
             for target in targets
         )
-        propagate = self._propagate
-        error_value = builtins.ERROR_VALUE
 
-        def record(context: Context, state: State) -> None:
-            throwing.add(sid)
-            for target, write in handlers:
+        def record(
+            context: Context, state: State,
+            _sid=sid, _throwing=self.throwing, _handlers=handlers,
+            _propagate=self._method("_propagate"),
+            _error_value=builtins.ERROR_VALUE,
+        ) -> None:
+            _throwing.add(_sid)
+            for target, write in _handlers:
                 exc_state = state.copy()
-                write(exc_state, error_value)
-                propagate(target, context, exc_state)
+                write(exc_state, _error_value)
+                _propagate(target, context, exc_state)
 
         return record
 

@@ -129,7 +129,7 @@ class ReadWriteSets:
         key = (sid, context)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._compute(sid, context)
+            cached = self.compute(sid, context)
             self._cache[key] = cached
         return cached
 
@@ -164,7 +164,9 @@ class ReadWriteSets:
     # ------------------------------------------------------------------
     # Computation
 
-    def _compute(self, sid: int, context: Context) -> RWSet:
+    def compute(self, sid: int, context: Context) -> RWSet:
+        """The sets of one node, not cached: for a caller that reads each
+        node once (the DDG), so a whole program's sets never coexist."""
         rw = RWSet()
         state = self.result.states.get((sid, context))
         if state is None:

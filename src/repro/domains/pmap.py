@@ -25,6 +25,7 @@ map is correct for any hashable keys.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterator
 
 _BITS = 5
@@ -37,9 +38,10 @@ _SENTINEL = object()
 class _BitmapNode:
     """Interior (and root) node: up to 32 slots, present slots flagged in
     ``bitmap``. A slot is either a ``(key, value)`` 2-tuple (leaf entry)
-    or a child node."""
+    or a child node. Weakly referenceable, so a merge memo entry can
+    go as soon as one of its operand nodes does."""
 
-    __slots__ = ("bitmap", "items")
+    __slots__ = ("bitmap", "items", "__weakref__")
 
     def __init__(self, bitmap: int, items: list) -> None:
         self.bitmap = bitmap
@@ -58,34 +60,59 @@ class _CollisionNode:
 
 _EMPTY_ROOT = _BitmapNode(0, [])
 
-# Memo table for structural merge, keyed on the operand nodes
-# themselves: ``(a, b, combine)``. States at a fixpoint are re-joined
-# with the same operands every round (the stored trie and the incoming
-# trie stabilize to fixed objects even when they do not literally share
-# nodes), so caching per node pair turns those re-verification walks
-# into O(1) lookups — and, because the memo works per subtree, a merge
-# after a localized change only re-walks the changed region. Nodes and
-# combine functions hash and compare by identity, and a key holds its
-# operands alive, so a live key can never name a different node pair;
-# the value is just ``(result, changed)``. Eviction is generational
-# (live generation demoted, previous generation dropped; hits in the old
-# generation re-promote), so overflow sheds cold entries instead of
-# flushing the hot working set. Never a correctness issue — only a perf
-# miss. Each analysis builds fresh tries, so no entry can hit in a later
-# one: analyses drop the memo when they end (:func:`drop_merge_memo`)
-# instead of pinning their tries.
+# Memo table for structural merge, keyed on the identities of the
+# operand nodes: ``(id(a), id(b), combine)``. States at a fixpoint are
+# re-joined with the same operands every round (the stored trie and the
+# incoming trie stabilize to fixed objects even when they do not
+# literally share nodes), so caching per node pair turns those
+# re-verification walks into O(1) lookups — and, because the memo works
+# per subtree, a merge after a localized change only re-walks the
+# changed region.
+#
+# The memo holds only live facts. An entry keeps a weak reference to
+# each operand, and the first operand to die removes the entry
+# (:func:`_forget`): a dead node can never be an operand again, so no
+# later merge could hit it, and most operands are transient tries that
+# die within a few steps. Weak references are cleared before a node's
+# memory can be reused, so a live key can never name a different node
+# pair. A result that *is* one of the operands is stored as a marker,
+# not as a reference, so the memo never keeps an operand alive. The
+# value is ``(result, changed, ref_a, ref_b)``. Since dead entries go at
+# once, the live ones stay far below ``_MEMO_LIMIT`` on every measured
+# program (at most 20,747, on ``flat256``); the limit is only a memory
+# bound, and a memo that reaches it is cleared. Never a correctness
+# issue — only a perf miss. Each analysis builds fresh tries, so no
+# entry can hit in a later one: analyses drop the memo when they end
+# (:func:`drop_merge_memo`).
 _MERGE_MEMO: dict = {}
-_MERGE_MEMO_OLD: dict = {}
-# Entries per generation. Smaller sizes trade merge work for memory: a
-# sweep of 2^10..2^17 (DESIGN.md, "State representation: memo
-# lifetime") found none that saves memory without costing P1 time.
+# Live entries at most. A sweep of 2^10..2^17 (DESIGN.md, "State
+# representation: memo lifetime") found no smaller size that saves
+# memory without costing P1 time.
 _MEMO_LIMIT = 1 << 17
+
+#: Memo results standing for the merge's own ``a`` / ``b`` operand.
+_RESULT_A = object()
+_RESULT_B = object()
+
+
+class _OperandRef(weakref.ref):
+    """A memo entry's weak reference to one operand; ``key`` names the
+    entry its death removes."""
+
+    __slots__ = ("key",)
+    key: tuple
+
+
+def _forget(ref: _OperandRef) -> None:
+    """Weak-reference callback: an operand died, so its entry can never
+    hit again. The entry owns both references, so only the first
+    operand to die gets here."""
+    _MERGE_MEMO.pop(ref.key, None)
 
 
 def drop_merge_memo() -> None:
-    """Forget every memoized merge (both generations)."""
+    """Forget every memoized merge."""
     _MERGE_MEMO.clear()
-    _MERGE_MEMO_OLD.clear()
 
 
 def _key_hash(key: Any) -> int:
@@ -206,15 +233,15 @@ def _merge(a, b, shift: int, combine):
             return (a[0], merged), True
         return _pair_node(shift, _key_hash(a[0]), a, _key_hash(b[0]), b), True
     if type_a is _BitmapNode and type_b is _BitmapNode:
-        global _MERGE_MEMO, _MERGE_MEMO_OLD
-        memo_key = (a, b, combine)
+        memo_key = (id(a), id(b), combine)
         hit = _MERGE_MEMO.get(memo_key)
         if hit is not None:
-            return hit
-        hit = _MERGE_MEMO_OLD.get(memo_key)
-        if hit is not None:
-            _MERGE_MEMO[memo_key] = hit
-            return hit
+            result = hit[0]
+            if result is _RESULT_A:
+                return a, hit[1]
+            if result is _RESULT_B:
+                return b, hit[1]
+            return result, hit[1]
         abm = a.bitmap
         bbm = b.bitmap
         union = abm | bbm
@@ -249,15 +276,20 @@ def _merge(a, b, shift: int, combine):
                 items.append(b.items[(bbm & (bit - 1)).bit_count()])
         if keep_a:
             result = a
+            stored = _RESULT_A
         elif adopt_b:
             result = b
+            stored = _RESULT_B
         else:
-            result = _BitmapNode(union, items)
+            result = stored = _BitmapNode(union, items)
         if len(_MERGE_MEMO) >= _MEMO_LIMIT:
-            _MERGE_MEMO_OLD = _MERGE_MEMO
-            _MERGE_MEMO = {}
-        hit = _MERGE_MEMO[memo_key] = (result, changed)
-        return hit
+            _MERGE_MEMO.clear()
+        ref_a = _OperandRef(a, _forget)
+        ref_a.key = memo_key
+        ref_b = _OperandRef(b, _forget)
+        ref_b.key = memo_key
+        _MERGE_MEMO[memo_key] = (stored, changed, ref_a, ref_b)
+        return result, changed
     if type_a is tuple and type_b is _BitmapNode:
         # Single leaf vs subtree: graft the leaf into b's structure
         # instead of rebuilding b entry by entry — b keeps its nodes

@@ -21,12 +21,13 @@ The report also records per-shape ``doubling_ratios`` (p1 of each size
 over p1 of the previous, sizes doubling; quadratic would double into
 ~4), the end-to-end ``loglog_slope`` of p1 vs AST nodes, and a
 ``subquadratic`` verdict: slope < 1.8, i.e. the curve is visibly below
-quadratic (slope 2) with margin for timing noise. ``peak_rss_mb`` is
+quadratic (slope 2) with margin for timing noise. ``p2_loglog_slope``
+is the same slope for p2, the PDG (reported, not gated). ``peak_rss_mb`` is
 the sweep process's memory high-water mark (reported, not gated).
 Entries up to :data:`PEAK_MAX_SIZE` also record each phase's working
 set, ``p1_peak_mb``/``p2_peak_mb``/``p3_peak_mb``: the traced-memory
 peak of one extra, untimed vet (``repro.perf.phase_peaks``, collector
-on), over the memory traced before it. A phase's peak counts what
+held off), over the memory traced before it. A phase's peak counts what
 earlier phases left alive (reported, not gated).
 
 ``check_regression`` gates a fresh report against a checked-in
@@ -223,7 +224,6 @@ def _phase_peaks(source: str, k: int) -> dict:
     from repro.api import vet
     from repro.perf import phase_peaks
 
-    gc.collect()
     with phase_peaks() as peaks:
         vet(source, k=k)
     return {
@@ -273,6 +273,7 @@ def run_scaling(
             # p1 growth per size doubling; quadratic would double into ~4.
             "doubling_ratios": ratios,
             "loglog_slope": _loglog_slope(entries),
+            "p2_loglog_slope": _loglog_slope(entries, "p2_s"),
             "subquadratic": _loglog_slope(entries) < 1.8,
         })
 
@@ -294,20 +295,21 @@ def run_scaling(
     return report
 
 
-def _loglog_slope(entries: list[dict]) -> float:
-    """End-to-end slope of the log(p1) vs log(ast_nodes) curve.
+def _loglog_slope(entries: list[dict], phase: str = "p1_s") -> float:
+    """End-to-end slope of the log(phase time) vs log(ast_nodes) curve,
+    for ``phase`` ``p1_s`` (the default) or ``p2_s``.
 
     A quadratic pipeline has slope 2, a linear one slope 1. The slope
-    is measured from the first entry whose p1 clears the timer-noise
+    is measured from the first entry whose time clears the timer-noise
     floor (10ms) to the largest — endpoints only, so a noisy middle
     entry cannot bend the verdict the way a per-step doubling ratio
     would."""
-    floored = [e for e in entries if e["p1_s"] >= 0.01]
+    floored = [e for e in entries if e[phase] >= 0.01]
     if len(floored) < 2:
         return 0.0
     first, last = floored[0], floored[-1]
     return round(
-        math.log(last["p1_s"] / first["p1_s"])
+        math.log(last[phase] / first[phase])
         / math.log(last["ast_nodes"] / first["ast_nodes"]),
         3,
     )
@@ -381,7 +383,8 @@ def render_scaling(report: dict) -> str:
         lines.append(
             f"  shape {shape_report['shape']} "
             f"(subquadratic: {shape_report['subquadratic']}, "
-            f"log-log slope {shape_report['loglog_slope']}, "
+            f"log-log slope P1 {shape_report['loglog_slope']} "
+            f"P2 {shape_report['p2_loglog_slope']}, "
             f"doubling ratios {shape_report['doubling_ratios']})"
         )
         for entry in shape_report["entries"]:
@@ -396,6 +399,7 @@ def render_scaling(report: dict) -> str:
                 f"    size {entry['size']:>4}  "
                 f"nodes {entry['ast_nodes']:>6}  "
                 f"P1 {entry['p1_s']:8.3f}s  "
+                f"P2 {entry['p2_s']:8.3f}s  "
                 f"steps {counters.get('fixpoint_steps', 0):>7}  "
                 f"shared copies {counters.get('shared_copies', 0):>8}"
                 f"{peaks}"

@@ -19,6 +19,14 @@ from repro.pdg.ddg import build_ddg
 from repro.pdg.icfg import build_icfg, cyclic_statements
 
 
+#: Every distinct annotation set, once: an edge's set is one of these,
+#: shared by every edge that carries it. A program's thousands of edges
+#: use a handful of sets, and a set of its own per edge was the bulk of
+#: a big PDG.
+_ANNOTATION_SETS: dict[frozenset[Annotation], frozenset[Annotation]] = {}
+_NO_ANNOTATIONS: frozenset[Annotation] = frozenset()
+
+
 @dataclass
 class PDG:
     """The annotated program dependence graph."""
@@ -26,7 +34,9 @@ class PDG:
     program: ProgramIR
     #: (source sid, target sid) -> annotations (an edge pair may carry
     #: both a data and a control annotation).
-    edges: dict[tuple[int, int], set[Annotation]] = field(default_factory=dict)
+    edges: dict[tuple[int, int], frozenset[Annotation]] = field(
+        default_factory=dict
+    )
     #: Statement ids on an ICFG cycle (used by amplification; exposed for
     #: diagnostics and tests).
     cyclic: set[int] = field(default_factory=set)
@@ -35,46 +45,50 @@ class PDG:
     # flow-type fixpoint (one build serves every source), reachability,
     # and slicing. Pure memoization of ``edges``: ``add_edge``
     # invalidates both, so the indexes can never go stale.
-    _successor_index: dict[int, list[tuple[int, set[Annotation]]]] | None = field(
-        default=None, init=False, repr=False, compare=False
+    _successor_index: dict[int, list[tuple[int, frozenset[Annotation]]]] | None = (
+        field(default=None, init=False, repr=False, compare=False)
     )
-    _predecessor_index: dict[int, list[tuple[int, set[Annotation]]]] | None = field(
-        default=None, init=False, repr=False, compare=False
+    _predecessor_index: dict[int, list[tuple[int, frozenset[Annotation]]]] | None = (
+        field(default=None, init=False, repr=False, compare=False)
     )
 
     def add_edge(self, source: int, target: int, annotation: Annotation) -> None:
-        self.edges.setdefault((source, target), set()).add(annotation)
+        key = (source, target)
+        annotations = self.edges.get(key, _NO_ANNOTATIONS)
+        if annotation not in annotations:
+            grown = annotations | {annotation}
+            self.edges[key] = _ANNOTATION_SETS.setdefault(grown, grown)
         self._successor_index = None
         self._predecessor_index = None
 
-    def successor_index(self) -> dict[int, list[tuple[int, set[Annotation]]]]:
+    def successor_index(self) -> dict[int, list[tuple[int, frozenset[Annotation]]]]:
         """source sid -> [(target sid, annotations)], built once and
         cached until the edge set changes."""
         if self._successor_index is None:
-            index: dict[int, list[tuple[int, set[Annotation]]]] = {}
+            index: dict[int, list[tuple[int, frozenset[Annotation]]]] = {}
             for (source, target), annotations in self.edges.items():
                 index.setdefault(source, []).append((target, annotations))
             self._successor_index = index
         return self._successor_index
 
-    def predecessor_index(self) -> dict[int, list[tuple[int, set[Annotation]]]]:
+    def predecessor_index(self) -> dict[int, list[tuple[int, frozenset[Annotation]]]]:
         """target sid -> [(source sid, annotations)]; the backward-slice
         counterpart of :meth:`successor_index`."""
         if self._predecessor_index is None:
-            index: dict[int, list[tuple[int, set[Annotation]]]] = {}
+            index: dict[int, list[tuple[int, frozenset[Annotation]]]] = {}
             for (source, target), annotations in self.edges.items():
                 index.setdefault(target, []).append((source, annotations))
             self._predecessor_index = index
         return self._predecessor_index
 
-    def successors(self, sid: int) -> list[tuple[int, set[Annotation]]]:
+    def successors(self, sid: int) -> list[tuple[int, frozenset[Annotation]]]:
         return self.successor_index().get(sid, [])
 
-    def predecessors(self, sid: int) -> list[tuple[int, set[Annotation]]]:
+    def predecessors(self, sid: int) -> list[tuple[int, frozenset[Annotation]]]:
         return self.predecessor_index().get(sid, [])
 
-    def annotations(self, source: int, target: int) -> set[Annotation]:
-        return self.edges.get((source, target), set())
+    def annotations(self, source: int, target: int) -> frozenset[Annotation]:
+        return self.edges.get((source, target), _NO_ANNOTATIONS)
 
     # ------------------------------------------------------------------
     # Line-level views (for reproducing Figure 2 and for reporting)
@@ -147,14 +161,14 @@ class PDG:
 def build_pdg(result: AnalysisResult) -> PDG:
     """Phase P2: construct the annotated PDG from the base analysis."""
     icfg = build_icfg(result)
-    cyclic = cyclic_statements(icfg)
-    rw_sets = ReadWriteSets(result)
-
-    pdg = PDG(program=result.program, cyclic=cyclic)
-    ddg = build_ddg(result, icfg, rw_sets)
-    for (source, target), annotation in ddg.edges.items():
+    pdg = PDG(program=result.program, cyclic=cyclic_statements(icfg))
+    for (source, target), annotation in build_ddg(
+        result, icfg, ReadWriteSets(result)
+    ).edges.items():
         pdg.add_edge(source, target, annotation)
-    cdg = build_cdg(result, cyclic_sids=cyclic)
+    # The ICFG and the DDG's working set go before the CDG is built.
+    del icfg
+    cdg = build_cdg(result, cyclic_sids=pdg.cyclic)
     for (source, target), annotation in cdg.edges.items():
         pdg.add_edge(source, target, annotation)
     return pdg

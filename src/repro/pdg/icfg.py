@@ -37,22 +37,19 @@ class ICFG:
 
     nodes: list[Node]
     #: Adjacency in insertion order (downstream determinism), with no
-    #: duplicate edges.
+    #: duplicate edges. Every node in it is the very tuple in ``nodes``.
     succs: dict[Node, list[Node]] = field(default_factory=dict)
-    preds: dict[Node, list[Node]] = field(default_factory=dict)
 
     def successors(self, node: Node) -> list[Node]:
         return self.succs.get(node, [])
-
-    def predecessors(self, node: Node) -> list[Node]:
-        return self.preds.get(node, [])
 
 
 def build_icfg(result: AnalysisResult) -> ICFG:
     """Assemble the ICFG from the base analysis result."""
     program = result.program
     nodes = list(result.states.keys())
-    node_set = set(nodes)
+    # Each node's own tuple, so the adjacency lists share them.
+    node_of = {node: node for node in nodes}
     icfg = ICFG(nodes=nodes)
     # Edge membership, for O(1) duplicate suppression; needed only while
     # the graph is built.
@@ -63,11 +60,10 @@ def build_icfg(result: AnalysisResult) -> ICFG:
         if edge not in edges:
             edges.add(edge)
             icfg.succs.setdefault(source, []).append(target)
-            icfg.preds.setdefault(target, []).append(source)
 
-    for sid, context in nodes:
+    for node in nodes:
+        sid, context = node
         stmt = program.stmts[sid]
-        node = (sid, context)
 
         is_call = isinstance(stmt, (CallStmt, ConstructStmt, EventLoopStmt))
         callees = result.call_edges.get(node, set()) if is_call else set()
@@ -84,29 +80,31 @@ def build_icfg(result: AnalysisResult) -> ICFG:
         )
         if keep_direct:
             for target in statement_successors(stmt, Mode.FULL, result.throwing):
-                target_node = (target, context)
-                if target_node in node_set:
+                target_node = node_of.get((target, context))
+                if target_node is not None:
                     add_edge(node, target_node)
         else:
             # Even with a mandatory detour, implicit-exception edges fire
             # before the call (callee may not be a function).
             for edge in stmt.edges:
                 if edge.kind is EdgeKind.IMPLICIT and sid in result.throwing:
-                    target_node = (edge.target, context)
-                    if target_node in node_set:
+                    target_node = node_of.get((edge.target, context))
+                    if target_node is not None:
                         add_edge(node, target_node)
 
         for fid, callee_context in callees:
-            entry_node = (program.functions[fid].entry.sid, callee_context)
-            if entry_node in node_set:
+            entry_node = node_of.get(
+                (program.functions[fid].entry.sid, callee_context)
+            )
+            if entry_node is not None:
                 add_edge(node, entry_node)
-            exit_node = (program.functions[fid].exit.sid, callee_context)
-            if exit_node in node_set:
+            exit_node = node_of.get((program.functions[fid].exit.sid, callee_context))
+            if exit_node is not None:
                 # Returns resume at the call's normal (SEQ) successors.
                 for edge in stmt.edges:
                     if edge.kind is EdgeKind.SEQ:
-                        return_node = (edge.target, context)
-                        if return_node in node_set:
+                        return_node = node_of.get((edge.target, context))
+                        if return_node is not None:
                             add_edge(exit_node, return_node)
     return icfg
 

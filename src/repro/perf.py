@@ -20,6 +20,7 @@ Small pieces every layer can agree on without import cycles:
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from collections import Counter
@@ -87,14 +88,6 @@ def median_report(
     return times, len(kept)
 
 
-def median_times(samples: list[PhaseTimes], discard_first: bool = True) -> PhaseTimes:
-    """The paper's protocol: discard the first sample (warm-up), report
-    the per-phase median of the rest. See :func:`median_report` for the
-    variant that also reports how many samples the median summarizes."""
-    times, _ = median_report(samples, discard_first)
-    return times
-
-
 class Counters(dict):
     """A ``dict[str, int]`` with a convenient increment. Kept as a plain
     dict subclass so it serializes as-is (JSON, pickle across the
@@ -133,10 +126,18 @@ def phase_peaks() -> Iterator[list[float]]:
     holds each phase's peak (P1, P2, P3; only P1 for a prefiltered vet)
     in MB over the traced memory at entry, so a phase's peak counts
     what earlier phases left alive. Only allocations made in the body
-    are traced: run the vet once before to keep one-time caches out."""
+    are traced: run the vet once before to keep one-time caches out.
+
+    The collector is run at entry and held off in the body. A full
+    collection also empties CPython's free lists, whose parked objects
+    count as traced, so without this a phase's peak would move with
+    where the full collections happen to land."""
     global _PHASE_PEAKS
     import tracemalloc
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -151,6 +152,8 @@ def phase_peaks() -> Iterator[list[float]]:
         _PHASE_PEAKS = None
         if started:
             tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
     peaks.extend(round((peak - base) / 2**20, 2) for peak in raw)
 
 

@@ -38,7 +38,7 @@ def _data_only_pdg(pdg: PDG) -> PDG:
     for (source, target), annotations in pdg.edges.items():
         kept = annotations & _TAINT_EDGES
         if kept:
-            restricted.edges[(source, target)] = set(kept)
+            restricted.edges[(source, target)] = kept
     return restricted
 
 

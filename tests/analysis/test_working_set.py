@@ -6,25 +6,31 @@ phase's traced-memory peak (``repro.perf.phase_peaks``) is what limits
 how many vets one box can run. Each vet runs in a fresh interpreter
 with a fixed hash seed: the analysis keeps process-wide intern tables,
 and a measurement that depended on what earlier tests left in them
-would not be repeatable. Readings (MB, P1/P2/P3) on CPython 3.11 and
-3.12:
+would not be repeatable. ``phase_peaks`` runs the collector first and
+holds it off during the vet, so a reading does not move with where full
+collections land. Readings (MB, P1/P2/P3) on CPython 3.11:
 
-- flat32: 5.26/4.78/4.01 and 5.23/4.72/3.96;
-- chain32: 3.25/2.68/2.56 and 3.37/2.75/2.63.
+- flat32: 3.98/3.48/3.70;
+- chain32: 1.81/1.90/2.26.
 
-Each bound sits ~0.2 MB above both, and below the readings of the
-representation before per-statement records had ``__slots__``, the
-merge memo keyed on its nodes and the DDG stopped storing per-node
-masks (flat32 6.09/5.76/4.38 and 5.97/5.60/4.23; chain32 3.83/3.19/2.83
-and 3.92/3.24/2.88).
+Each bound sits ~0.25 MB above them (CPython 3.12 read up to 0.15 MB
+more before the collector was held off), and below the readings of the
+representation before the merge memo dropped entries whose operands
+died, the transfer closures shared their parts, the DDG kept facts
+only at chain heads and PDG edges shared their annotation sets (flat32
+5.52/5.00/4.24, chain32 3.34/2.75/2.63, same protocol). flat64
+(8.17/6.74/6.88, from 11.27/10.23/7.84) is not measured here: its
+traced vet alone takes ~15 s.
 """
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from repro.perf import phase_end, phase_peaks
 from tests.service.stdio_daemon import source_env
 
 _MEASURE = """
@@ -41,8 +47,8 @@ print(json.dumps(peaks))
 
 #: (shape, size) -> the P1, P2, P3 bounds in MB.
 BOUNDS = {
-    ("flat", 32): (5.5, 5.0, 4.2),
-    ("chain", 32): (3.55, 2.95, 2.8),
+    ("flat", 32): (4.25, 3.75, 3.95),
+    ("chain", 32): (2.05, 2.15, 2.5),
 }
 
 
@@ -63,3 +69,18 @@ def test_phase_peaks_stay_bounded(shape, size):
             f"all phases: {peaks}"
         )
     assert all(peak > 0 for peak in peaks), peaks
+
+
+def test_phase_peaks_holds_the_collector_off_and_restores_it():
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            with phase_peaks() as peaks:
+                held_off = not gc.isenabled()
+                phase_end()
+            assert held_off
+            assert gc.isenabled() == enabled
+            assert len(peaks) == 1
+    finally:
+        gc.enable() if was_enabled else gc.disable()

@@ -226,6 +226,15 @@ class TestScalingReport:
         assert f"peak RSS {peak} MB" in render_scaling(scaling_report)
         assert "peak MB P1/P2/P3 " in render_scaling(scaling_report)
 
+    def test_p2_slope_reported_next_to_p1s(self, scaling_report):
+        for shape_report in scaling_report["shapes"]:
+            slopes = (
+                f"log-log slope P1 {shape_report['loglog_slope']} "
+                f"P2 {shape_report['p2_loglog_slope']},"
+            )
+            assert slopes in render_scaling(scaling_report)
+            assert isinstance(shape_report["p2_loglog_slope"], float)
+
     def test_flows_found_at_every_size(self, scaling_report):
         by_shape = {s["shape"]: s for s in scaling_report["shapes"]}
         for entry in by_shape["flat"]["entries"]:

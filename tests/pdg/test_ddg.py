@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import ReadWriteSets, analyze
 from repro.ir import lower
 from repro.js import parse
-from repro.pdg import Annotation, build_icfg, build_pdg
+from repro.pdg import ICFG, Annotation, build_icfg, build_pdg
 from repro.pdg.ddg import build_ddg
 
 
@@ -124,3 +124,36 @@ class TestLoopCarriedDependence:
             "var s = 'init';\nwhile (Math.random()) {\ns = s + 'x';\n}\nsend(s);"
         )
         assert line_edge(program, ddg, 1, 5) == {Annotation.DATA_WEAK}
+
+
+def test_edges_do_not_depend_on_icfg_node_order():
+    # Facts are kept only at chain heads; the projection rebuilds a
+    # chain member's facts from its predecessor's when the predecessor
+    # comes first in node order, and from the chain head otherwise.
+    # Reversed, the order puts every member before its predecessor.
+    program = lower(parse(
+        "var s = 'a';\nwhile (Math.random()) {\n"
+        "if (s) { s = s + 'x'; } else { s = 'y'; }\n}\nvar t = s;\nsend(t);"
+    ), event_loop=False)
+    result = analyze(program)
+    icfg = build_icfg(result)
+    forward = build_ddg(result, icfg, ReadWriteSets(result)).edges
+    icfg.nodes.reverse()
+    assert build_ddg(result, icfg, ReadWriteSets(result)).edges == forward
+    assert Annotation.DATA_STRONG in forward.values()
+    assert Annotation.DATA_WEAK in forward.values()
+
+
+def test_a_cycle_of_chain_links_gets_a_head():
+    # Every node of this two-node cycle continues the other's chain, so
+    # no node starts a chain until the DDG cuts the cycle.
+    program = lower(parse("var x = 1;\nvar y = x;"), event_loop=False)
+    result = analyze(program)
+    write_x, read_x = (
+        node for node in result.states
+        if program.stmts[node[0]].line in (1, 2)
+        and type(program.stmts[node[0]]).__name__ == "AssignStmt"
+    )
+    icfg = ICFG(nodes=[write_x, read_x], succs={write_x: [read_x], read_x: [write_x]})
+    ddg = build_ddg(result, icfg, ReadWriteSets(result))
+    assert ddg.edges == {(write_x[0], read_x[0]): Annotation.DATA_STRONG}

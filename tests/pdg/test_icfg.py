@@ -64,14 +64,6 @@ class TestStructure:
         for node in call_nodes:
             assert icfg.successors(node)
 
-    def test_predecessors_inverse(self):
-        program, result, icfg = icfg_of(
-            "function f(a) { return a; } var x = f(1);"
-        )
-        for node in icfg.nodes:
-            for succ in icfg.successors(node):
-                assert node in icfg.predecessors(succ)
-
 
 class TestCycles:
     def test_loop_is_cyclic(self):

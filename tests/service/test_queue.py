@@ -19,14 +19,26 @@ def _task(name="addon", source="var x = 1;"):
     return VetTask(name=name, source=source)
 
 
-def _queue(tmp_path, **kwargs):
-    kwargs.setdefault("fsync", False)
-    return DurableJobQueue(tmp_path, **kwargs)
+@pytest.fixture
+def open_queue():
+    """Opens queues (``fsync`` off unless asked) and closes every one
+    at teardown, so no journal handle outlives its test."""
+    opened = []
+
+    def open_queue(tmp_path, **kwargs):
+        kwargs.setdefault("fsync", False)
+        queue = DurableJobQueue(tmp_path, **kwargs)
+        opened.append(queue)
+        return queue
+
+    yield open_queue
+    for queue in opened:
+        queue.close()
 
 
 class TestLifecycle:
-    def test_submit_claim_commit(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_submit_claim_commit(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         job = queue.submit(_task())
         assert job.state is JobState.QUEUED
 
@@ -39,23 +51,23 @@ class TestLifecycle:
         assert queue.get(job.id).state is JobState.DONE
         assert queue.result(job.id) == {"ok": True}
 
-    def test_submit_is_idempotent_on_job_id(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_submit_is_idempotent_on_job_id(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         first = queue.submit(_task(), job_id="job-1")
         again = queue.submit(_task(), job_id="job-1")
         assert first is again
         assert queue.depth() == 1
 
-    def test_commit_is_idempotent_first_verdict_wins(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_commit_is_idempotent_first_verdict_wins(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         job = queue.submit(_task())
         queue.claim()
         assert queue.commit_result(job.id, {"verdict": "first"})
         assert not queue.commit_result(job.id, {"verdict": "second"})
         assert queue.result(job.id) == {"verdict": "first"}
 
-    def test_claim_order_is_submission_order(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_claim_order_is_submission_order(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         ids = [
             queue.submit(_task(f"a{n}", f"var v{n} = {n};")).id
             for n in range(5)
@@ -63,8 +75,8 @@ class TestLifecycle:
         assert [queue.claim().id for _ in range(5)] == ids
         assert queue.claim() is None
 
-    def test_cancel_only_from_queued(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_cancel_only_from_queued(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         job = queue.submit(_task())
         assert queue.cancel(job.id)
         assert not queue.cancel(job.id)
@@ -74,8 +86,8 @@ class TestLifecycle:
         queue.claim()
         assert not queue.cancel(running.id), "running jobs keep running"
 
-    def test_fail_records_typed_failure(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_fail_records_typed_failure(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         job = queue.submit(_task())
         queue.claim()
         queue.fail(job.id, FailureKind.BUDGET_TIME, "hard deadline")
@@ -85,8 +97,8 @@ class TestLifecycle:
 
 
 class TestCrashRetryAndPoison:
-    def test_crashed_requeues_until_attempts_spent(self, tmp_path):
-        queue = _queue(tmp_path, max_attempts=3)
+    def test_crashed_requeues_until_attempts_spent(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path, max_attempts=3)
         job = queue.submit(_task())
         for attempt in (1, 2):
             assert queue.claim().attempts == attempt
@@ -110,8 +122,8 @@ class TestReplay:
             == "job-c7cd8842698b04986fbd"
         )
 
-    def test_replay_restores_every_state(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_replay_restores_every_state(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         done = queue.submit(_task("done-addon", "var a = 1;"))
         queue.claim()
         queue.commit_result(done.id, {"ok": True})
@@ -120,7 +132,7 @@ class TestReplay:
         queue.cancel(cancelled.id)
         queue.close()
 
-        revived = _queue(tmp_path)
+        revived = open_queue(tmp_path)
         assert revived.get(done.id).state is JobState.DONE
         assert revived.result(done.id) == {"ok": True}
         assert revived.get(queued.id).state is JobState.QUEUED
@@ -128,13 +140,13 @@ class TestReplay:
         assert revived.recovery["jobs_replayed"] == 3
         assert revived.claim().id == queued.id
 
-    def test_replay_runs_a_task_with_a_retired_field(self, tmp_path):
+    def test_replay_runs_a_task_with_a_retired_field(self, tmp_path, open_queue):
         # A journal written before ``VetTask.preanalysis`` was removed
         # still carries the field; replay drops it and the job runs.
         from repro.batch import vet_many
         from repro.service.jobs import task_to_json
 
-        queue = _queue(tmp_path)
+        queue = open_queue(tmp_path)
         record = task_to_json(_task("old-addon", "var k = 'a'; var v = o[k];"))
         record["preanalysis"] = False
         queue._log({
@@ -142,7 +154,7 @@ class TestReplay:
         })
         queue.close()
 
-        revived = _queue(tmp_path)
+        revived = open_queue(tmp_path)
         assert revived.recovery["jobs_replayed"] == 1
         claimed = revived.claim()
         assert claimed.id == "job-old"
@@ -151,20 +163,20 @@ class TestReplay:
         assert outcome.ok
         assert outcome.signature_text == ""
 
-    def test_replay_requeues_mid_run_jobs(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_replay_requeues_mid_run_jobs(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         job = queue.submit(_task())
         queue.claim()  # daemon "dies" here, mid-run
         queue.close()
 
-        revived = _queue(tmp_path)
+        revived = open_queue(tmp_path)
         assert revived.recovery["requeued"] == 1
         claimed = revived.claim()
         assert claimed.id == job.id
         assert claimed.attempts == 2, "the lost attempt still counts"
 
-    def test_replay_heals_commit_without_done_record(self, tmp_path):
-        queue = _queue(tmp_path)
+    def test_replay_heals_commit_without_done_record(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path)
         job = queue.submit(_task())
         queue.claim()
         # Crash window: the result was committed to the store but the
@@ -172,24 +184,24 @@ class TestReplay:
         queue.results.put(job.id, {"ok": True, "verdict": "pass"})
         queue.close()
 
-        revived = _queue(tmp_path)
+        revived = open_queue(tmp_path)
         assert revived.recovery["healed_commits"] == 1
         assert revived.get(job.id).state is JobState.DONE
         assert revived.result(job.id) == {"ok": True, "verdict": "pass"}
         assert revived.claim() is None, "healed job is never re-run"
 
-    def test_replay_poisons_jobs_with_spent_attempts(self, tmp_path):
-        queue = _queue(tmp_path, max_attempts=1)
+    def test_replay_poisons_jobs_with_spent_attempts(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path, max_attempts=1)
         job = queue.submit(_task())
         queue.claim()  # attempt journaled, then the daemon dies
         queue.close()
 
-        revived = _queue(tmp_path, max_attempts=1)
+        revived = open_queue(tmp_path, max_attempts=1)
         assert revived.recovery["poisoned"] == 1
         assert revived.get(job.id).state is JobState.POISONED
 
-    def test_compact_preserves_state_and_shrinks_journals(self, tmp_path):
-        queue = _queue(tmp_path, max_attempts=5)
+    def test_compact_preserves_state_and_shrinks_journals(self, tmp_path, open_queue):
+        queue = open_queue(tmp_path, max_attempts=5)
         survivor = queue.submit(_task("survivor", "var s = 1;"))
         pending = queue.submit(_task("pending", "var p = 2;"))
         # Crash the same job twice before it commits: three ``start``
@@ -211,7 +223,7 @@ class TestReplay:
         assert size_after < size_before
         queue.close()
 
-        revived = _queue(tmp_path, max_attempts=5)
+        revived = open_queue(tmp_path, max_attempts=5)
         assert revived.get(survivor.id).state is JobState.DONE
         assert revived.get(survivor.id).attempts == 3
         assert revived.result(survivor.id) == {"ok": True}
@@ -220,7 +232,7 @@ class TestReplay:
 
 @pytest.mark.faults
 class TestCrashDurability:
-    def test_acked_submissions_survive_sigkill(self, tmp_path):
+    def test_acked_submissions_survive_sigkill(self, tmp_path, open_queue):
         """SIGKILL a submitting process mid-stream: every submission it
         acknowledged must replay; at most the unacknowledged in-flight
         one may be missing — and nothing may be duplicated or torn."""
@@ -238,22 +250,21 @@ class TestCrashDurability:
                 print(n, flush=True)
                 n += 1
         """)
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", script, str(tmp_path)],
             stdout=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": "src"},
-        )
-        acked = -1
-        for _ in range(150):
-            line = process.stdout.readline()
-            if not line:
-                break
-            acked = int(line)
-        process.kill()
-        process.wait()
+        ) as process:
+            acked = -1
+            for _ in range(150):
+                line = process.stdout.readline()
+                if not line:
+                    break
+                acked = int(line)
+            process.kill()
         assert acked >= 50, "submitter died before enough submissions"
 
-        queue = _queue(tmp_path)
+        queue = open_queue(tmp_path)
         ids = sorted(job.id for job in queue.jobs())
         assert queue.recovery["corrupt_records"] == 0
         expected = [f"job-{n:05d}" for n in range(len(ids))]

@@ -107,19 +107,18 @@ def test_replay_after_sigkill_mid_write(tmp_path):
             print(n, flush=True)
             n += 1
     """)
-    process = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", script, str(path)],
         stdout=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": "src"},
-    )
-    acked = -1
-    for _ in range(200):  # let it ack a bunch of appends, then kill it
-        line = process.stdout.readline()
-        if not line:
-            break
-        acked = int(line)
-    process.kill()
-    process.wait()
+    ) as process:
+        acked = -1
+        for _ in range(200):  # let it ack a bunch of appends, then kill it
+            line = process.stdout.readline()
+            if not line:
+                break
+            acked = int(line)
+        process.kill()
     assert acked >= 100, "writer died before producing enough appends"
 
     journal = Journal(path)

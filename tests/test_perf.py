@@ -10,7 +10,7 @@ silent invention.
 
 import pytest
 
-from repro.perf import PhaseTimes, kept_samples, median_report, median_times
+from repro.perf import PhaseTimes, kept_samples, median_report
 
 
 def sample(value: float) -> PhaseTimes:
@@ -52,11 +52,3 @@ class TestMedianReport:
     def test_empty_samples_raise_instead_of_inventing(self):
         with pytest.raises(ValueError, match="no timing samples"):
             median_report([])
-
-    def test_median_times_agrees_with_median_report(self):
-        samples = [sample(9.0), sample(1.0), sample(2.0), sample(3.0)]
-        assert median_times(samples) == median_report(samples)[0]
-
-    def test_median_times_raises_on_empty_too(self):
-        with pytest.raises(ValueError):
-            median_times([])
