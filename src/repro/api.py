@@ -280,7 +280,7 @@ def vet(
     the result is bit-identical either way (proven addon-by-addon in
     ``tests/lint/test_prefilter_soundness.py``). When computed property
     sites alone would refuse the fast lane, the prefilter resolves their
-    keys (:mod:`repro.preanalysis`): sites with provably-finite key sets
+    keys (:mod:`repro.lint.keys`): sites with provably-finite key sets
     count as named surface. A report with the prefilter on carries the
     ``resolved_sites`` / ``residual_dynamic_sites`` counters.
     """

@@ -614,7 +614,6 @@ PIPELINE_MODULES = (
     "repro.diffvet.diff",
     "repro.diffvet.incremental",
     "repro.lint.surface",
-    "repro.preanalysis.pipeline",
     "repro.webext.pipeline",
 )
 

@@ -55,7 +55,7 @@ class FragmentSpec:
     group: str = ""
     dynamic: bool = False
     flow: bool = True  #: contributes signature entries (False = benign)
-    #: Contains a computed property access the pre-analysis resolver
+    #: Contains a computed property access the computed-key resolver
     #: cannot bound (param-keyed), so the prefilter can never skip an
     #: addon holding it — kept out of the generator's benign draw pool
     #: (it would silently cut the fleet's prefilter hit rate) but in the
@@ -208,7 +208,7 @@ def _benign_object(names: tuple[str, ...], domain: str) -> tuple[str, tuple[str,
 
 def _benign_table(names: tuple[str, ...], domain: str) -> tuple[str, tuple[str, ...]]:
     """Computed property access with a *provably constant* key: the
-    pre-analysis resolver bounds ``a[k]`` to ``{'alpha'}``, so the
+    computed-key resolver bounds ``a[k]`` to ``{'alpha'}``, so the
     prefilter still skips an addon made of these — without resolution
     the site reads as dynamic and disqualifies the whole addon."""
     a, k, b = names

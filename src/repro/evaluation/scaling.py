@@ -303,11 +303,16 @@ def _loglog_slope(entries: list[dict], phase: str = "p1_s") -> float:
     is measured from the first entry whose time clears the timer-noise
     floor (10ms) to the largest — endpoints only, so a noisy middle
     entry cannot bend the verdict the way a per-step doubling ratio
-    would."""
+    would. The endpoints must also be at least two doublings apart in
+    AST nodes: across one doubling, a single timing spike of 1.8x at
+    the top reads as a slope near 2, whatever the pipeline's scaling.
+    Too few points or too narrow a span reads 0.0."""
     floored = [e for e in entries if e[phase] >= 0.01]
     if len(floored) < 2:
         return 0.0
     first, last = floored[0], floored[-1]
+    if last["ast_nodes"] < 4 * first["ast_nodes"]:
+        return 0.0
     return round(
         math.log(last[phase] / first[phase])
         / math.log(last["ast_nodes"] / first["ast_nodes"]),

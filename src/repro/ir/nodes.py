@@ -386,9 +386,6 @@ class ProgramIR:
     def main(self) -> FunctionIR:
         return self.functions[0]
 
-    def function_of(self, sid: int) -> FunctionIR:
-        return self.functions[self.owner[sid]]
-
     def component_of(self, sid: int) -> str | None:
         """The extension component a statement belongs to, or ``None``.
 

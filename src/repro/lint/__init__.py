@@ -1,5 +1,5 @@
-"""Pre-analysis lint & triage: rule engine, relevance prefilter, and
-the lattice-law sanitizer.
+"""Lint & triage: rule engine, relevance prefilter, and the lattice-law
+sanitizer.
 
 Public surface:
 
@@ -10,6 +10,12 @@ Public surface:
   to skip spec-irrelevant addons.
 - :func:`run_selfcheck` — the lattice-law sanitizer behind
   ``addon-sig selfcheck``.
+
+Two flow-insensitive whole-program analyses live here with their only
+users (DESIGN.md §5j): :mod:`repro.lint.keys`, the computed-key
+resolver the prefilter asks when computed sites alone would refuse the
+fast lane, and :mod:`repro.lint.callgraph`, the Andersen-style call
+graph behind the rules CG001/CG002.
 """
 
 from repro.lint.engine import (

@@ -73,7 +73,7 @@ class Finding:
 
 #: Schema tag stamped on the JSON report (bump on shape changes).
 #: v2: per-file ``surfaces`` section (dynamic-code / dynamic-property
-#: site spans and resolved-site counts from the pre-analysis).
+#: site spans and resolved-site counts from key resolution).
 SCHEMA = "addon-sig/lint/v2"
 
 

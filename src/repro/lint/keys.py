@@ -1,8 +1,8 @@
-"""The constant-string lattice behind computed-property resolution.
+"""Computed-key resolution for the relevance prefilter.
 
-A computed access ``obj[k]`` defeats the relevance prefilter today: the
-surface scan cannot bound which property it names, so one such site
-flips ``Surface.dynamic_properties`` for the whole addon. This module
+A computed access ``obj[k]`` defeats the plain surface scan: it cannot
+bound which property the site names, so one such site flips
+``Surface.dynamic_properties`` for the whole addon. This module
 recovers the common benign shape — ``k`` is a constant string, or a
 join/concatenation of constant strings — with a flow-insensitive
 whole-program fixpoint over a small lattice:
@@ -37,16 +37,28 @@ The fixpoint is join-only over a finite-height lattice (``StringSet``
 normalizes over-budget sets to a single joined prefix, and prefix
 concatenation is absorbing on the non-exact side), and a pass cap with
 widening-to-⊤ backstops termination regardless.
+
+:func:`resolve_computed_sites` classifies each site against the solved
+environment. Its only caller is :func:`repro.lint.surface.resolved_surface`,
+which runs it only when computed sites alone would refuse the fast lane.
+Resolution is *whole-program only*: the solved environment assumes it
+has seen every assignment to every name, which holds for a full parse
+set but not for program fragments (the diffvet change-surface
+certificate keeps to the plain scan), nor under dynamic code or a
+degraded parse (the caller then never asks).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.domains import numbers
 from repro.domains.stringset import StringSet
 from repro.js import ast as js_ast
+from repro.js.errors import Span
+from repro.lint.rules import static_property_name
 
 #: Passes of the round-robin constraint solver before the still-unstable
 #: names are widened to ⊤. Join-only iteration converges far earlier in
@@ -62,6 +74,7 @@ RESOLUTION_BOUND = 8
 
 def _exact(text: str) -> StringSet:
     return StringSet.exact(text, RESOLUTION_BOUND)
+
 
 #: Names whose reads are never resolved even when the program also binds
 #: them: the machine may hand them values we do not model. ``arguments``
@@ -84,18 +97,18 @@ class KeyValue:
     #: lattice order reads ``True ⊑ False``.
     surely_string: bool
 
-    def leq(self, other: "KeyValue") -> bool:
+    def leq(self, other: KeyValue) -> bool:
         if not self.tostr.leq(other.tostr):
             return False
         return self.surely_string or not other.surely_string
 
-    def join(self, other: "KeyValue") -> "KeyValue":
+    def join(self, other: KeyValue) -> KeyValue:
         return KeyValue(
             tostr=self.tostr.join(other.tostr),
             surely_string=self.surely_string and other.surely_string,
         )
 
-    def meet(self, other: "KeyValue") -> "KeyValue":
+    def meet(self, other: KeyValue) -> KeyValue:
         return KeyValue(
             tostr=self.tostr.meet(other.tostr),
             surely_string=self.surely_string or other.surely_string,
@@ -130,10 +143,12 @@ def key_plus(left: KeyValue, right: KeyValue) -> KeyValue:
     return KEY_TOP
 
 
+@functools.cache
 def environment_global_names() -> frozenset[str]:
     """Every global name the analysis environments bind before the addon
     runs — enumerated from the *real* setup code, so new environment
-    globals can never silently drift out of the resolution blocklist."""
+    globals can never silently drift out of the resolution blocklist.
+    Cached: listing them sets up both environments."""
     from repro.analysis import builtins as analysis_builtins
     from repro.browser.chrome import WebExtEnvironment
     from repro.browser.env import BrowserEnvironment
@@ -149,16 +164,6 @@ def environment_global_names() -> frozenset[str]:
             name for scope, name in state.vars.keys() if scope == GLOBAL_SCOPE
         )
     return frozenset(names)
-
-
-_ENV_GLOBALS_CACHE: frozenset[str] | None = None
-
-
-def _env_globals() -> frozenset[str]:
-    global _ENV_GLOBALS_CACHE
-    if _ENV_GLOBALS_CACHE is None:
-        _ENV_GLOBALS_CACHE = environment_global_names()
-    return _ENV_GLOBALS_CACHE
 
 
 class ConstantStringEnv:
@@ -223,7 +228,7 @@ def solve_environment(programs: Iterable[js_ast.Program]) -> ConstantStringEnv:
     whole program (possibly multi-file: constraints union across files,
     matching the conflated global scope of the lowered bundle)."""
     blocked: set[str] = set(_ALWAYS_TOP_NAMES)
-    blocked.update(_env_globals())
+    blocked.update(environment_global_names())
     constraints: list[tuple[str, js_ast.Expression | None]] = []
 
     for program in programs:
@@ -282,3 +287,26 @@ def solve_environment(programs: Iterable[js_ast.Program]) -> ConstantStringEnv:
         for name, _init in pending:
             values[name] = KEY_TOP
     return env
+
+
+def resolve_computed_sites(
+    programs: tuple[js_ast.Program, ...],
+) -> tuple[list[frozenset[str]], tuple[Span, ...]]:
+    """Classify every computed property site with a non-literal key, in
+    walk order: the name set of each site whose key resolves to a
+    finite set, and the span of each *residual* site that does not."""
+    env = solve_environment(programs)
+    resolved: list[frozenset[str]] = []
+    residual: list[Span] = []
+    for program in programs:
+        for node in program.walk():
+            if not isinstance(node, js_ast.MemberExpression) or not node.computed:
+                continue
+            if static_property_name(node) is not None:
+                continue
+            names = env.eval(node.property).concretes()
+            if names is None:
+                residual.append(Span.at(node.position))
+            else:
+                resolved.append(frozenset(names))
+    return resolved, tuple(residual)

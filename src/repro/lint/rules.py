@@ -378,9 +378,9 @@ class UnreachableFunction(Rule):
         self, node: js_ast.Node, context: LintContext
     ) -> Iterator[tuple[str, Span]]:
         assert isinstance(node, js_ast.Program)
-        # Imported lazily: repro.preanalysis.callgraph imports helpers
-        # from this module at import time.
-        from repro.preanalysis.callgraph import build_callgraph
+        # Imported lazily: repro.lint.callgraph imports helpers from
+        # this module at import time.
+        from repro.lint.callgraph import build_callgraph
 
         graph = build_callgraph([node])
         for info in graph.unreachable_declarations():
@@ -409,8 +409,8 @@ class UnboundCallee(Rule):
         self, node: js_ast.Node, context: LintContext
     ) -> Iterator[tuple[str, Span]]:
         assert isinstance(node, js_ast.Program)
-        from repro.preanalysis import environment_global_names
-        from repro.preanalysis.callgraph import build_callgraph
+        from repro.lint.callgraph import build_callgraph
+        from repro.lint.keys import environment_global_names
 
         graph = build_callgraph([node])
         known = (

@@ -348,10 +348,10 @@ def _stringset_elements() -> list[StringSet]:
 
 
 def _keyvalue_elements():
-    """The resolution lattice of :mod:`repro.preanalysis.constants`:
+    """The resolution lattice of :mod:`repro.lint.keys`:
     every enumerated ``StringSet`` crossed with both ``surely_string``
     flags (``True`` is the more precise claim, so ``True ⊑ False``)."""
-    from repro.preanalysis.constants import RESOLUTION_BOUND, KeyValue
+    from repro.lint.keys import RESOLUTION_BOUND, KeyValue
 
     sets = [
         StringSet.bottom(RESOLUTION_BOUND),
@@ -578,7 +578,7 @@ def run_selfcheck() -> list[DomainCheck]:
             ],
         ),
     ]
-    from repro.preanalysis.constants import (
+    from repro.lint.keys import (
         KEY_BOTTOM,
         KEY_TOP,
         KeyValue,

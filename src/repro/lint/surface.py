@@ -32,7 +32,7 @@ entry — tested addon-by-addon in
 The surface also records *where* each disqualifier lives (per-site
 spans, not just booleans). When computed sites are the only thing
 keeping an addon out of the fast lane, the prefilter asks the
-constant-key resolver (:func:`repro.preanalysis.resolve_computed_sites`)
+constant-key resolver (:func:`repro.lint.keys.resolve_computed_sites`)
 for their verdicts (:func:`resolved_surface`): a computed site whose
 key provably ranges over a finite string set is demoted from
 ``dynamic_properties`` to ordinary named surface — its resolved names
@@ -46,10 +46,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from repro.js import ast as js_ast
 from repro.js.errors import Span
+from repro.lint import keys
 from repro.lint.rules import TIMER_NAMES, callee_name, static_property_name
 from repro.signatures.spec import (
     CallSource,
@@ -59,9 +59,6 @@ from repro.signatures.spec import (
     PropertyWriteSink,
     SecuritySpec,
 )
-
-if TYPE_CHECKING:
-    from repro.preanalysis.pipeline import Resolution
 
 #: Names that mean string-to-code execution wherever they appear.
 _DYNAMIC_CODE_NAMES = frozenset({"eval", "Function"})
@@ -96,9 +93,7 @@ def addon_surface(program: js_ast.Node) -> Surface:
     return nodes_surface([program])
 
 
-def nodes_surface(
-    roots: Iterable[js_ast.Node], resolution: "Resolution | None" = None
-) -> Surface:
+def nodes_surface(roots: Iterable[js_ast.Node]) -> Surface:
     """The combined syntactic surface of an arbitrary set of AST nodes
     (each walked recursively).
 
@@ -107,21 +102,15 @@ def nodes_surface(
     uses it to over-approximate what a version update's *changed
     statements* can touch, with exactly the same collection rules — so
     the change-surface certificate inherits the prefilter's soundness
-    argument for named access.
-
-    ``resolution`` (whole-program callers only) demotes computed sites
-    the resolver proved finite: their resolved names join the surface
-    instead of tripping ``dynamic_properties``. It is keyed by node
-    identity, so it must come from a resolution of these same AST
-    objects.
+    argument for named access. Every computed site with a non-literal
+    key counts as dynamic here; only :func:`resolved_surface` resolves
+    keys.
     """
     names: set[str] = set()
     dynamic_code = False
     dynamic_properties = False
     dynamic_code_sites: list[Span] = []
     dynamic_property_sites: list[Span] = []
-    resolved_sites = 0
-    resolved = resolution.resolved if resolution is not None else {}
 
     for node in _walk_all(roots):
         if isinstance(node, js_ast.Identifier):
@@ -136,9 +125,6 @@ def nodes_surface(
                 if prop in _DYNAMIC_CODE_NAMES:
                     dynamic_code = True
                     dynamic_code_sites.append(Span.at(node.position))
-            elif id(node) in resolved:
-                names.update(resolved[id(node)])
-                resolved_sites += 1
             else:
                 dynamic_properties = True
                 dynamic_property_sites.append(Span.at(node.position))
@@ -170,7 +156,6 @@ def nodes_surface(
         dynamic_properties=dynamic_properties,
         dynamic_code_sites=tuple(dynamic_code_sites),
         dynamic_property_sites=tuple(dynamic_property_sites),
-        resolved_sites=resolved_sites,
     )
 
 
@@ -190,25 +175,23 @@ def resolved_surface(
     an assignment the solver never saw), has no dynamic code (``eval``
     could assign any name), and the scan found unresolved computed
     sites. Its resolved names are folded into that same surface; only
-    the residual sites stay dynamic. Equal to ``nodes_surface(programs,
-    resolution=resolve_computed_sites(programs, trusted=...))`` — the
-    eager form, pinned in ``tests/preanalysis/test_surface.py``.
+    the residual sites stay dynamic. This is the only place resolved
+    names join a surface; ``tests/lint/test_surface.py`` pins it equal
+    to resolving every site up front.
     """
     programs = tuple(programs)
     surface = nodes_surface(programs)
     if degraded or surface.dynamic_code or not surface.dynamic_properties:
         return surface
-    # Looked up at call time so a tracer wrapping the module attribute
-    # sees the call.
-    from repro.preanalysis import pipeline
-
-    resolution = pipeline.resolve_computed_sites(programs, trusted=True)
+    # Called through the module so a tracer wrapping the module
+    # attribute sees the call.
+    resolved, residual = keys.resolve_computed_sites(programs)
     return replace(
         surface,
-        names=surface.names.union(*resolution.resolved.values()),
-        dynamic_properties=bool(resolution.residual_spans),
-        dynamic_property_sites=resolution.residual_spans,
-        resolved_sites=resolution.resolved_sites,
+        names=surface.names.union(*resolved),
+        dynamic_properties=bool(residual),
+        dynamic_property_sites=residual,
+        resolved_sites=len(resolved),
     )
 
 

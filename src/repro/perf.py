@@ -41,9 +41,6 @@ class PhaseTimes:
     def total(self) -> float:
         return self.p1 + self.p2 + self.p3
 
-    def as_dict(self) -> dict[str, float]:
-        return {"p1": self.p1, "p2": self.p2, "p3": self.p3, "total": self.total}
-
     def render(self) -> str:
         return (
             f"P1 {self.p1:.3f}s | P2 {self.p2:.3f}s | P3 {self.p3:.3f}s"

@@ -19,7 +19,11 @@ from repro.evaluation import (
     run_bench,
     run_scaling,
 )
-from repro.evaluation.scaling import synthesize_chain, synthesize_flat
+from repro.evaluation.scaling import (
+    _loglog_slope,
+    synthesize_chain,
+    synthesize_flat,
+)
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +269,27 @@ class TestScalingReport:
             )
         failures = check_regression(inflated, scaling_report)
         assert len(failures) == len(TINY_SIZES)
+
+    def test_slope_reads_the_curve_across_two_doublings(self):
+        def entries(times):
+            return [
+                {"ast_nodes": nodes, "p1_s": t}
+                for nodes, t in zip((100, 200, 400), times)
+            ]
+
+        assert _loglog_slope(entries((0.01, 0.02, 0.04))) == 1.0
+        assert _loglog_slope(entries((0.01, 0.04, 0.16))) == 2.0
+        # Below the 10ms floor an entry is not an endpoint.
+        assert _loglog_slope(entries((0.005, 0.02, 0.08))) == 0.0
+
+    def test_slope_across_one_doubling_reads_zero(self):
+        # A linear pipeline whose top entry hit one 1.8x timing spike
+        # would read slope ~1.9 here: too narrow a span to call.
+        spiked = [
+            {"ast_nodes": 127, "p1_s": 0.0101},
+            {"ast_nodes": 227, "p1_s": 0.0101 * 227 / 127 * 1.8},
+        ]
+        assert _loglog_slope(spiked) == 0.0
 
     def test_checked_in_baseline_is_fresh(self):
         """The CI gate compares against this file; it must exist, parse,

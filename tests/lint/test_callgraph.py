@@ -4,9 +4,9 @@ import pytest
 
 from repro.js.parser import parse
 from repro.lint import lint_source
-from repro.preanalysis import build_callgraph
+from repro.lint.callgraph import build_callgraph
 
-pytestmark = pytest.mark.preanalysis
+pytestmark = pytest.mark.lint
 
 
 def _graph(source: str):

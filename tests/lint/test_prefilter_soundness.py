@@ -4,8 +4,9 @@ The claim: for every addon, vetting with the prefilter produces exactly
 the signature (and verdict) that vetting without it produces —
 bit-identical rendered text — because the prefilter only takes the fast
 lane when *no* run of the full analysis could emit an entry. These
-tests check that equality over the whole benchmark corpus and the whole
-examples corpus, under plain parsing, recovery mode, and budget-trip
+tests check that equality over the whole benchmark corpus, the whole
+examples corpus (single files and extension bundles) and a generated
+corpus, under plain parsing, recovery mode, and budget-trip
 degradation; plus the individual disqualifiers (dynamic code, dynamic
 properties, degraded input) that must force the full pipeline.
 """
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.addons import CORPUS
+from repro.addons import CORPUS, AddonSpec
 from repro.api import vet
 from repro.browser import mozilla_spec
 from repro.faults import Budget
@@ -28,6 +29,12 @@ from repro.signatures import parse_signature, subsumes
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLE_FILES = sorted((REPO / "examples" / "addons").glob("*.js"))
+#: Extension bundles: each directory with a manifest is one input.
+EXTENSION_DIRS = sorted(
+    child
+    for child in (REPO / "examples" / "extensions").iterdir()
+    if child.is_dir() and (child / "manifest.json").exists()
+)
 
 pytestmark = pytest.mark.lint
 
@@ -71,6 +78,13 @@ class TestCorpusIdentity:
         )
         _identical(spec.source(), manual=manual, real_extras=extras)
 
+    @pytest.mark.slow
+    def test_bit_identical_generated_corpus(self):
+        from repro.corpusgen import generate_corpus
+
+        for addon in generate_corpus(20, seed=13):
+            _identical(addon.source)
+
     @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: s.name)
     def test_corpus_addons_are_never_prefiltered(self, spec):
         # The benchmark corpus is all spec-relevant by construction.
@@ -78,26 +92,37 @@ class TestCorpusIdentity:
         assert not report.prefiltered
 
 
+def _example_source(path: Path) -> str:
+    """An example addon file, or an extension bundle directory as bundle
+    text."""
+    if path.is_dir():
+        from repro.webext.loader import load_source
+
+        return load_source(path)
+    return path.read_text(encoding="utf-8")
+
+
 class TestExamplesIdentity:
-    """Every example addon, including under recovery mode."""
+    """Every example addon and extension bundle, under recovery mode."""
 
     @pytest.mark.parametrize(
-        "path", EXAMPLE_FILES, ids=lambda p: p.name
+        "path", EXAMPLE_FILES + EXTENSION_DIRS, ids=lambda p: p.name
     )
     def test_bit_identical_under_recovery(self, path):
-        _identical(path.read_text(encoding="utf-8"), recover=True)
+        _identical(_example_source(path), recover=True)
 
     def test_examples_corpus_has_prefilter_hits(self):
-        hits = [
-            path.name
+        reports = {
+            path.name: vet(path.read_text(encoding="utf-8"), recover=True,
+                           prefilter=True)
             for path in EXAMPLE_FILES
-            if vet(path.read_text(encoding="utf-8"), recover=True,
-                   prefilter=True).prefiltered
-        ]
+        }
+        hits = [name for name, report in reports.items() if report.prefiltered]
         # shortcut_palette is the resolver's hit: its only dynamism is
-        # a provably-constant computed key, so the fast lane needs the
-        # pre-analysis to take it.
+        # a provably-constant computed key, so the fast lane needs key
+        # resolution to take it.
         assert hits == ["clock_badge.js", "shortcut_palette.js", "ui_theme.js"]
+        assert reports["shortcut_palette.js"].counters["resolved_sites"] == 1
 
 
 class TestDisqualifiers:
@@ -191,6 +216,25 @@ class TestBudgetDegradation:
         # And the prefiltered answer equals the un-budgeted exact one.
         exact = vet(IRRELEVANT, prefilter=False)
         assert fast.signature.render() == exact.signature.render()
+
+    @pytest.mark.parametrize(
+        "addon",
+        list(CORPUS) + EXAMPLE_FILES + EXTENSION_DIRS,
+        ids=lambda a: a.name,
+    )
+    def test_tiny_budget_arms_subsume_the_exact_signature(self, addon):
+        # Every addon: the two lanes need not trip at the same step, so
+        # each degraded arm must cover the exact signature.
+        source = (
+            addon.source() if isinstance(addon, AddonSpec)
+            else _example_source(addon)
+        )
+        exact = vet(source, recover=True).signature
+        for max_steps in (2, 5, 20, 100):
+            for prefilter in (True, False):
+                arm = vet(source, recover=True, prefilter=prefilter,
+                          budget=Budget(max_steps=max_steps))
+                assert subsumes(arm.signature, exact), max_steps
 
 
 class TestSurfaceApproximation:

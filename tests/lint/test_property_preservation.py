@@ -22,7 +22,7 @@ from repro.corpusgen import expected_signature_text, generate_addon
 from repro.corpusgen.generator import _draw_blueprint
 from repro.lint.surface import nodes_surface, spec_surface
 
-pytestmark = pytest.mark.preanalysis
+pytestmark = pytest.mark.lint
 
 _SETTINGS = settings(
     max_examples=20,

@@ -9,19 +9,27 @@ must stay residual (and with it, the prefilter must stay off).
 import pytest
 
 from repro.js.parser import parse
-from repro.preanalysis import environment_global_names, resolve_computed_sites
+from repro.lint.keys import environment_global_names, resolve_computed_sites
+from repro.lint.surface import resolved_surface
 
-pytestmark = pytest.mark.preanalysis
+pytestmark = pytest.mark.lint
 
 
-def _resolution(source: str, trusted: bool = True):
-    return resolve_computed_sites((parse(source),), trusted=trusted)
+def _resolution(source: str):
+    """The resolved name sets and the residual spans of ``source``."""
+    return resolve_computed_sites((parse(source),))
+
+
+def _residual_sites(source: str) -> int:
+    resolved, residual = _resolution(source)
+    assert resolved == [], resolved
+    return len(residual)
 
 
 def _only_site_names(source: str) -> frozenset[str]:
-    resolution = _resolution(source)
-    assert resolution.resolved_sites == 1, resolution
-    [names] = resolution.resolved.values()
+    resolved, residual = _resolution(source)
+    assert residual == (), residual
+    [names] = resolved
     return names
 
 
@@ -58,40 +66,39 @@ class TestResolves:
 
 class TestRefuses:
     def test_parameter_key_is_residual(self):
-        resolution = _resolution(
+        assert _residual_sites(
             "var o = {};\nfunction pick(k) { return o[k]; }\npick('a');"
-        )
-        assert resolution.resolved_sites == 0
-        assert resolution.residual_sites == 1
+        ) == 1
 
     def test_for_in_variable_is_residual(self):
-        resolution = _resolution(
+        assert _residual_sites(
             "var o = { a: 1 };\nfor (var k in o) { var v = o[k]; }"
-        )
-        assert resolution.residual_sites == 1
+        ) == 1
 
     def test_environment_global_key_is_residual(self):
-        # `name` is a window global: the environment can bind it to
+        # `location` is a window global: the environment can bind it to
         # values the constant lattice does not model.
-        resolution = _resolution("var v = o[location];")
-        assert resolution.residual_sites == 1
+        assert _residual_sites("var v = o[location];") == 1
 
     def test_compound_assignment_blocks_the_name(self):
-        resolution = _resolution(
+        assert _residual_sites(
             "var k = 'a';\nk += 'b';\nvar v = o[k];"
-        )
-        assert resolution.residual_sites == 1
+        ) == 1
 
     def test_untrusted_input_makes_every_site_residual(self):
+        # Under a degraded parse or dynamic code the solved environment
+        # may miss assignments, so the prefilter never asks the resolver.
         source = "var k = 'a';\nvar v = o[k];"
-        assert _resolution(source).resolved_sites == 1
-        untrusted = _resolution(source, trusted=False)
-        assert untrusted.resolved_sites == 0
-        assert untrusted.residual_sites == 1
+        assert resolved_surface([parse(source)]).resolved_sites == 1
+        for surface in (
+            resolved_surface([parse(source)], degraded=True),
+            resolved_surface([parse(source + "\neval('k = 1');")]),
+        ):
+            assert surface.resolved_sites == 0
+            assert len(surface.dynamic_property_sites) == 1
 
     def test_call_result_key_is_residual(self):
-        resolution = _resolution("var k = pick();\nvar v = o[k];")
-        assert resolution.residual_sites == 1
+        assert _residual_sites("var k = pick();\nvar v = o[k];") == 1
 
 
 class TestEnvironmentBlocklist:
@@ -107,6 +114,4 @@ class TestEnvironmentBlocklist:
 
     def test_literal_sites_are_not_counted(self):
         # `o['a']` has a static name: neither resolved nor residual.
-        resolution = _resolution("var v = o['a'];")
-        assert resolution.resolved_sites == 0
-        assert resolution.residual_sites == 0
+        assert _residual_sites("var v = o['a'];") == 0

@@ -9,19 +9,21 @@ generated corpus) both must reach the same decision, down to the site
 spans and the resolved-site count.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import select_front_end
+from repro.lint.keys import resolve_computed_sites
 from repro.lint.surface import (
     PrefilterDecision,
     decide_relevance,
     nodes_surface,
     spec_surface,
 )
-from repro.preanalysis import resolve_computed_sites
 from tests.test_pipeline_parity import PROGRAMS
 
-pytestmark = pytest.mark.preanalysis
+pytestmark = pytest.mark.lint
 
 SOURCES = {
     **PROGRAMS,
@@ -32,13 +34,20 @@ SOURCES = {
 
 def _eager_decision(programs, spec, degraded: bool) -> PrefilterDecision:
     """The decision over a surface with every computed site resolved up
-    front (untrusted under dynamic code or a degraded parse)."""
+    front and folded in (none under dynamic code or a degraded parse:
+    the solved environment may then miss assignments)."""
     if degraded:
         return PrefilterDecision(relevant=True, reason="degraded-input")
-    trusted = not nodes_surface(programs).dynamic_code
-    surface = nodes_surface(
-        programs, resolution=resolve_computed_sites(programs, trusted=trusted)
-    )
+    surface = nodes_surface(programs)
+    if not surface.dynamic_code:
+        resolved, residual = resolve_computed_sites(programs)
+        surface = replace(
+            surface,
+            names=surface.names.union(*resolved),
+            dynamic_properties=bool(residual),
+            dynamic_property_sites=residual,
+            resolved_sites=len(resolved),
+        )
     common = {
         "dynamic_property_sites": surface.dynamic_property_sites,
         "resolved_sites": surface.resolved_sites,
@@ -100,7 +109,7 @@ class TestVetRunsOnlyWhatItNeeds:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from repro.preanalysis import callgraph, pipeline
+        from repro.lint import callgraph, keys
 
         calls = []
 
@@ -111,8 +120,8 @@ class TestVetRunsOnlyWhatItNeeds:
             return wrapper
 
         monkeypatch.setattr(
-            pipeline, "resolve_computed_sites",
-            spy("resolve", pipeline.resolve_computed_sites),
+            keys, "resolve_computed_sites",
+            spy("resolve", keys.resolve_computed_sites),
         )
         # Every call graph is built through this constructor, whatever
         # name its builder was imported under.
